@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test race check lint bench gobench bench-smoke bench-compare bench-profile tables api api-check serve-smoke
+.PHONY: all fmt vet build test race check lint bench gobench bench-smoke bench-e2e-smoke bench-compare bench-profile tables api api-check serve-smoke
 
 all: check
 
@@ -85,6 +85,12 @@ bench-smoke:
 	$(GO) run ./cmd/whilebench -autobench -procs 8 -autoiters 8000 -autowork 100
 	$(GO) run ./cmd/whilebench -journalbench -procs 8 -elems 65536 -rounds 8
 	$(GO) run ./cmd/whilebench -sigbench -procs 8 -sigiters 8192 -sigwork 100
+
+# Smoke test of the end-to-end benchmark (BENCHMARK.json).  benchmark/
+# is a module of its own, invisible to the root `go test ./...`, so
+# nothing else vets it or runs its test.
+bench-e2e-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test -short .
 
 # Regression guard: rerun the benchmarks and fail if a machine-
 # independent ratio fell more than 20% below the recorded baseline.

@@ -5,143 +5,106 @@
 // engine construction; recycling the buffers through sync.Pool turns
 // that into a size check and, where staleness matters, one memclr.
 //
+// Pools are size-classed: every buffer lives in the bucket of the power
+// of two its capacity reaches, and a request is served only from the
+// bucket of the power of two that covers it.  A 64-element journal
+// request therefore never pops (and truncates) a 2 MB buffer, and a
+// short recycled buffer is never dropped because a long one was asked
+// for.  Fresh allocations are rounded up to their class's capacity so
+// they serve the same class again; the rounded-up tail is never touched
+// and so never becomes resident.
+//
 // Contract: slices handed out by the non-zeroed getters carry arbitrary
 // stale content.  Callers must either fully overwrite them before
 // reading (checkpoint copies, stamp shards behind epoch tags) or
-// request the zeroed variant (epoch tags themselves, where zero means
-// "stale since before any epoch").  Returning a slice via its Put
-// function transfers ownership back — the caller must not retain a
-// reference.
+// request the zeroed variant.  Returning a slice via its Put function
+// transfers ownership back — the caller must not retain a reference.
+//
+// Everything recycled sits in a sync.Pool, which the garbage collector
+// empties: an idle process gives the memory back, and nothing here can
+// pin a buffer.
 package arena
 
-import "sync"
-
-// The pools hold pointers-to-slices so Put does not allocate an
-// interface box per call.  Buffers of any capacity share one pool per
-// element type; Get reallocates when the recycled capacity is short,
-// which keeps mixed-size usage correct at the cost of occasionally
-// dropping a small buffer on the floor.
-var (
-	float64Pool = sync.Pool{New: func() any { return new([]float64) }}
-	int64Pool   = sync.Pool{New: func() any { return new([]int64) }}
-	uint32Pool  = sync.Pool{New: func() any { return new([]uint32) }}
-	intPool     = sync.Pool{New: func() any { return new([]int) }}
+import (
+	"math/bits"
+	"sync"
 )
 
-// Float64s returns a length-n slice with arbitrary content.
-func Float64s(n int) []float64 {
-	p := float64Pool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
+// minClass is the smallest size class (64 elements): requests below it
+// share one bucket, so tiny journals do not scatter over six pools.
+const minClass = 6
+
+// numClasses covers every capacity an int can express.
+const numClasses = bits.UintSize
+
+// classOf returns the size class that serves a request for n elements:
+// the smallest c >= minClass with 1<<c >= n.
+func classOf(n int) int {
+	if n <= 1<<minClass {
+		return minClass
 	}
-	return (*p)[:n]
+	return bits.Len(uint(n - 1))
 }
 
-// PutFloat64s recycles a slice obtained from Float64s.  nil is a no-op.
-func PutFloat64s(s []float64) {
-	if s == nil {
+// ClassCap returns the capacity a fresh buffer for n elements is
+// allocated with: n rounded up to its size class.
+func ClassCap(n int) int { return 1 << classOf(n) }
+
+// Pool is a size-classed pool of objects that each own buffers of some
+// capacity — the shape a shadow or shard needs when it must come back
+// together with state describing its buffers (the last epoch its tags
+// were written under), which a bare slice cannot carry.
+type Pool[T any] struct {
+	classes [numClasses]sync.Pool
+}
+
+// Get returns a pooled object whose capacity is at least ClassCap(n),
+// or nil when the class is empty.
+func (p *Pool[T]) Get(n int) *T {
+	v, _ := p.classes[classOf(n)].Get().(*T)
+	return v
+}
+
+// Put recycles an object whose buffers hold capacity elements.
+// Objects smaller than the smallest class are dropped.
+func (p *Pool[T]) Put(capacity int, v *T) {
+	if capacity < 1<<minClass {
 		return
 	}
-	float64Pool.Put(&s)
+	// The bucket of the largest power of two the capacity reaches:
+	// everything in bucket c can serve any request of class c.
+	p.classes[bits.Len(uint(capacity))-1].Put(v)
 }
 
-// Int64s returns a length-n slice with arbitrary content.
-func Int64s(n int) []int64 {
-	p := int64Pool.Get().(*[]int64)
-	if cap(*p) < n {
-		*p = make([]int64, n)
-	}
-	return (*p)[:n]
-}
-
-// PutInt64s recycles a slice obtained from Int64s.  nil is a no-op.
-func PutInt64s(s []int64) {
-	if s == nil {
-		return
-	}
-	int64Pool.Put(&s)
-}
-
-// Uint32sZeroed returns a length-n slice of zeros — the "stale before
-// any epoch" state generation-tag consumers require on first use.
-func Uint32sZeroed(n int) []uint32 {
-	p := uint32Pool.Get().(*[]uint32)
-	if cap(*p) < n {
-		// A fresh allocation is already zeroed.
-		*p = make([]uint32, n)
-		return *p
-	}
-	s := (*p)[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// PutUint32s recycles a slice obtained from Uint32sZeroed.  nil is a
-// no-op.
-func PutUint32s(s []uint32) {
-	if s == nil {
-		return
-	}
-	uint32Pool.Put(&s)
-}
-
-// Ints returns a length-0 slice with at least the given capacity —
-// the shape dirty-index journals want (append-only, truncated on
-// reset).
-func Ints(capacity int) []int {
-	p := intPool.Get().(*[]int)
-	if cap(*p) < capacity {
-		*p = make([]int, 0, capacity)
-	}
-	return (*p)[:0]
-}
-
-// PutInts recycles a slice obtained from Ints.  nil is a no-op.
-func PutInts(s []int) {
-	if s == nil {
-		return
-	}
-	intPool.Put(&s)
-}
-
-// SlicePool is the generic form of the typed pools above, for element
-// types the package does not predeclare (packed shadow records, block
-// bitmaps).  Each instantiation owns its own sync.Pool, so buffers of
-// different element types never mix.  The same contract applies:
-// Get/GetCap hand out arbitrary stale content, GetZeroed hands out
-// zeros, and Put transfers ownership back.
-type SlicePool[T any] struct{ p sync.Pool }
+// SlicePool is a size-classed pool of []T buffers.  Each instantiation
+// owns its own buckets, so buffers of different element types never
+// mix.  Get/GetCap hand out arbitrary stale content, GetZeroed hands
+// out zeros, and Put transfers ownership back.
+type SlicePool[T any] struct{ p Pool[[]T] }
 
 // NewSlicePool returns an empty pool for []T buffers.
-func NewSlicePool[T any]() *SlicePool[T] {
-	sp := &SlicePool[T]{}
-	sp.p.New = func() any { return new([]T) }
-	return sp
+func NewSlicePool[T any]() *SlicePool[T] { return &SlicePool[T]{} }
+
+// get returns a buffer of capacity >= n and whether it was recycled.
+func (sp *SlicePool[T]) get(n int) ([]T, bool) {
+	if b := sp.p.Get(n); b != nil {
+		return *b, true
+	}
+	return make([]T, ClassCap(n)), false
 }
 
 // Get returns a length-n slice with arbitrary content.
 func (sp *SlicePool[T]) Get(n int) []T {
-	p := sp.p.Get().(*[]T)
-	if cap(*p) < n {
-		*p = make([]T, n)
-	}
-	return (*p)[:n]
+	s, _ := sp.get(n)
+	return s[:n]
 }
 
 // GetZeroed returns a length-n slice of zero values.
 func (sp *SlicePool[T]) GetZeroed(n int) []T {
-	p := sp.p.Get().(*[]T)
-	if cap(*p) < n {
-		// A fresh allocation is already zeroed.
-		*p = make([]T, n)
-		return *p
-	}
-	s := (*p)[:n]
-	var zero T
-	for i := range s {
-		s[i] = zero
+	s, recycled := sp.get(n)
+	s = s[:n]
+	if recycled {
+		clear(s)
 	}
 	return s
 }
@@ -149,18 +112,65 @@ func (sp *SlicePool[T]) GetZeroed(n int) []T {
 // GetCap returns a length-0 slice with at least the given capacity —
 // the append-only journal shape.
 func (sp *SlicePool[T]) GetCap(capacity int) []T {
-	p := sp.p.Get().(*[]T)
-	if cap(*p) < capacity {
-		*p = make([]T, 0, capacity)
-	}
-	return (*p)[:0]
+	s, _ := sp.get(capacity)
+	return s[:0]
 }
 
-// Put recycles a slice obtained from any of the getters.  nil is a
-// no-op.
+// Put recycles a slice obtained from any of the getters (or grown from
+// one by append).  nil is a no-op.
 func (sp *SlicePool[T]) Put(s []T) {
 	if s == nil {
 		return
 	}
-	sp.p.Put(&s)
+	sp.p.Put(cap(s), &s)
+}
+
+// The predeclared pools, one per element type the engines share.
+var (
+	float64s = NewSlicePool[float64]()
+	int64s   = NewSlicePool[int64]()
+	uint32s  = NewSlicePool[uint32]()
+	ints     = NewSlicePool[int]()
+)
+
+// Float64s returns a length-n slice with arbitrary content.
+func Float64s(n int) []float64 { return float64s.Get(n) }
+
+// PutFloat64s recycles a slice obtained from Float64s.  nil is a no-op.
+func PutFloat64s(s []float64) { float64s.Put(s) }
+
+// Int64s returns a length-n slice with arbitrary content.
+func Int64s(n int) []int64 { return int64s.Get(n) }
+
+// PutInt64s recycles a slice obtained from Int64s.  nil is a no-op.
+func PutInt64s(s []int64) { int64s.Put(s) }
+
+// Uint32sZeroed returns a length-n slice of zeros — the "stale before
+// any epoch" state generation-tag consumers require on first use.
+func Uint32sZeroed(n int) []uint32 { return uint32s.GetZeroed(n) }
+
+// PutUint32s recycles a slice obtained from Uint32sZeroed.  nil is a
+// no-op.
+func PutUint32s(s []uint32) { uint32s.Put(s) }
+
+// Ints returns a length-0 slice with at least the given capacity —
+// the shape dirty-index journals want (append-only, truncated on
+// reset).
+func Ints(capacity int) []int { return ints.GetCap(capacity) }
+
+// PutInts recycles a slice obtained from Ints.  nil is a no-op.
+func PutInts(s []int) { ints.Put(s) }
+
+// AppendInts appends src to dst like the built-in, except that growth
+// goes through the pool: the larger buffer (with room to double) comes
+// from it and dst goes back to it.  Buffers the built-in had grown would
+// be recycled into size classes nothing asks for; these land in the
+// classes the next run's growth steps request.
+func AppendInts(dst, src []int) []int {
+	if need := len(dst) + len(src); need > cap(dst) {
+		grown := append(Ints(2*need), dst...)
+		PutInts(dst)
+		dst = grown
+	}
+	return append(dst, src...)
 }

@@ -8,7 +8,6 @@ import (
 	"whilepar/internal/autotune"
 	"whilepar/internal/cancel"
 	"whilepar/internal/loopir"
-	"whilepar/internal/mem"
 	"whilepar/internal/sched"
 	"whilepar/internal/speculate"
 )
@@ -36,13 +35,13 @@ func inductionDispAt(l *loopir.Loop[int]) func(int) int {
 func inductionSeqFrom(l *loopir.Loop[int]) func(int) int {
 	dispAt := inductionDispAt(l)
 	return func(from int) int {
+		slot := loopir.NewIterSlots(1)
 		d := dispAt(from)
 		for i := from; l.Max <= 0 || i < l.Max; i++ {
 			if l.Cond != nil && !l.Cond(d) {
 				return i
 			}
-			it := loopir.Iter{Index: i, VPN: 0}
-			if !l.Body(&it, d) {
+			if !l.Body(slot.At(0, i, nil), d) {
 				return i
 			}
 			d = l.Disp.Next(d)
@@ -58,6 +57,7 @@ func inductionSeqFrom(l *loopir.Loop[int]) func(int) int {
 // deadlines honest even when the body is slow, and a panicking body is
 // contained here just as a worker would contain it.
 func probeInduction(ctx context.Context, l *loopir.Loop[int], probeN int, opt Options) (iters int, done bool, err error) {
+	slot := loopir.NewIterSlots(1)
 	d := l.Disp.Start()
 	i := 0
 	defer func() {
@@ -75,8 +75,7 @@ func probeInduction(ctx context.Context, l *loopir.Loop[int], probeN int, opt Op
 		if l.Cond != nil && !l.Cond(d) {
 			return i, true, nil
 		}
-		it := loopir.Iter{Index: i, VPN: 0}
-		if !l.Body(&it, d) {
+		if !l.Body(slot.At(0, i, nil), d) {
 			return i, true, nil
 		}
 		d = l.Disp.Next(d)
@@ -91,6 +90,7 @@ func probeInduction(ctx context.Context, l *loopir.Loop[int], probeN int, opt Op
 // It backs the auto path's sequential plan (the plan a single
 // processor, a short remainder, or a violation-heavy profile earns).
 func seqRemainder(ctx context.Context, l *loopir.Loop[int], from int, opt Options) (valid int, err error) {
+	slot := loopir.NewIterSlots(1)
 	d := inductionDispAt(l)(from)
 	i := from
 	defer func() {
@@ -108,8 +108,7 @@ func seqRemainder(ctx context.Context, l *loopir.Loop[int], from int, opt Option
 		if l.Cond != nil && !l.Cond(d) {
 			return i, nil
 		}
-		it := loopir.Iter{Index: i, VPN: 0}
-		if !l.Body(&it, d) {
+		if !l.Body(slot.At(0, i, nil), d) {
 			return i, nil
 		}
 		d = l.Disp.Next(d)
@@ -195,16 +194,17 @@ func runInductionAuto(ctx context.Context, l *loopir.Loop[int], cf loopir.Closed
 		return finish(rep, opt), nil
 
 	case autotune.DOALL:
-		res, err := sched.DOALLCtx(ctx, total-probeN, sched.Options{Procs: procs,
-			Schedule: plan.Schedule, Metrics: opt.Metrics, Tracer: opt.Tracer, Pool: opt.Workers},
+		slots := loopir.NewIterSlots(procs)
+		so := opt.doallOptions(opt.Workers)
+		so.Schedule = plan.Schedule
+		res, err := sched.DOALLCtx(ctx, total-probeN, so,
 			func(i, vpn int) sched.Control {
 				gi := probeN + i
 				dv := cf.At(gi)
 				if l.Cond != nil && !l.Cond(dv) {
 					return sched.Quit
 				}
-				it := loopir.Iter{Index: gi, VPN: vpn}
-				if !l.Body(&it, dv) {
+				if !l.Body(slots.At(vpn, gi, nil), dv) {
 					return sched.Quit
 				}
 				return sched.Continue
@@ -237,48 +237,9 @@ func runInductionAuto(ctx context.Context, l *loopir.Loop[int], cf loopir.Closed
 		pool = sched.NewPool(procs)
 		defer pool.Close()
 	}
-	var executed, overshot int
-	stripPar := func(trk mem.Tracker, lo, hi int) (int, bool, error) {
-		res, err := sched.DOALLCtx(ctx, hi-lo, sched.Options{Procs: procs,
-			Schedule: plan.Schedule, Metrics: opt.Metrics, Tracer: opt.Tracer, Pool: pool},
-			func(i, vpn int) sched.Control {
-				gi := lo + i
-				dv := cf.At(gi)
-				if l.Cond != nil && !l.Cond(dv) {
-					return sched.Quit
-				}
-				it := loopir.Iter{Index: gi, VPN: vpn, Tracker: trk}
-				if !l.Body(&it, dv) {
-					return sched.Quit
-				}
-				return sched.Continue
-			})
-		executed += res.Executed
-		overshot += res.Overshot
-		if err != nil {
-			// Re-anchor a contained panic's strip-local index to the
-			// global iteration space before it unwinds.
-			if pe, ok := cancel.AsPanic(err); ok && pe.Iter >= 0 {
-				pe.Iter += lo
-			}
-		}
-		return res.QuitIndex, res.QuitIndex < hi-lo, err
-	}
-	dispAt := inductionDispAt(l)
-	stripSeq := func(lo, hi int) (int, bool) {
-		dv := dispAt(lo)
-		for i := lo; i < hi; i++ {
-			if l.Cond != nil && !l.Cond(dv) {
-				return i - lo, true
-			}
-			it := loopir.Iter{Index: i, VPN: 0}
-			if !l.Body(&it, dv) {
-				return i - lo, true
-			}
-			dv = l.Disp.Next(dv)
-		}
-		return hi - lo, false
-	}
+	so := opt.doallOptions(pool)
+	so.Schedule = plan.Schedule
+	stripPar, stripSeq, tally := stripRunners(ctx, so, l.Body, l.Cond, cf.At)
 	spec := speculate.Spec{Procs: procs, Shared: opt.Shared, Tested: opt.Tested,
 		Tier:    speculate.Tier(plan.Tier),
 		Metrics: opt.Metrics, Tracer: opt.Tracer}
@@ -294,7 +255,7 @@ func runInductionAuto(ctx context.Context, l *loopir.Loop[int], cf loopir.Closed
 	rep.Valid = probeN + srep.Valid
 	rep.Undone = srep.Undone
 	rep.PrefixCommitted = srep.PrefixCommitted
-	rep.Executed, rep.Overshot = executed, overshot
+	rep.Executed, rep.Overshot = tally.executed, tally.overshot
 	rep.Retunes = tuner.Events()
 	rep.ValidationTier = int(srep.Tier)
 	rep.TierDemoted = srep.TierDemoted

@@ -452,10 +452,9 @@ func RunInductionCtx(ctx context.Context, l *loopir.Loop[int], opt Options) (Rep
 
 	var parRes induction.Result
 	rep.StampThreshold = stampThreshold(opt)
-	dispAt := inductionDispAt(l)
 	seqFrom := inductionSeqFrom(l)
 	if opt.pipeline {
-		return runInductionPipelined(ctx, l, opt, pool, rep, seqFrom, dispAt)
+		return runInductionPipelined(ctx, l, opt, pool, rep, seqFrom)
 	}
 	srep, err := speculate.RunCtx(ctx,
 		speculate.Spec{
@@ -501,7 +500,7 @@ func RunInductionCtx(ctx context.Context, l *loopir.Loop[int], opt Options) (Rep
 // dispatcher's closed form, and strip k+1's execution overlaps strip
 // k's PD test and commit (speculate.RunStrippedPipelined).
 func runInductionPipelined(ctx context.Context, l *loopir.Loop[int], opt Options, pool *sched.Pool, rep Report,
-	seqFrom func(int) int, dispAt func(int) int) (Report, error) {
+	seqFrom func(int) int) (Report, error) {
 	cf, ok := l.Disp.(loopir.ClosedForm[int])
 	if !ok {
 		return rep, fmt.Errorf("%w: dispatcher %T has no closed form", ErrPipelineUnsupported, l.Disp)
@@ -510,42 +509,7 @@ func runInductionPipelined(ctx context.Context, l *loopir.Loop[int], opt Options
 		return rep, fmt.Errorf("%w: pipelined induction loop", ErrMissingBound)
 	}
 	total := l.Max
-	// Successive stripPar calls are serialized by the engine (each
-	// overlapped strip is joined before the next launches), so plain
-	// accumulators are safe.
-	var executed, overshot int
-	stripPar := func(trk mem.Tracker, lo, hi int) (int, bool, error) {
-		res, err := sched.DOALLCtx(ctx, hi-lo, sched.Options{Procs: opt.procs(), Schedule: opt.Schedule,
-			Metrics: opt.Metrics, Tracer: opt.Tracer, Pool: pool}, func(i, vpn int) sched.Control {
-			gi := lo + i
-			d := cf.At(gi)
-			if l.Cond != nil && !l.Cond(d) {
-				return sched.Quit
-			}
-			it := loopir.Iter{Index: gi, VPN: vpn, Tracker: trk}
-			if !l.Body(&it, d) {
-				return sched.Quit
-			}
-			return sched.Continue
-		})
-		executed += res.Executed
-		overshot += res.Overshot
-		return res.QuitIndex, res.QuitIndex < hi-lo, err
-	}
-	stripSeq := func(lo, hi int) (int, bool) {
-		d := dispAt(lo)
-		for i := lo; i < hi; i++ {
-			if l.Cond != nil && !l.Cond(d) {
-				return i - lo, true
-			}
-			it := loopir.Iter{Index: i, VPN: 0}
-			if !l.Body(&it, d) {
-				return i - lo, true
-			}
-			d = l.Disp.Next(d)
-		}
-		return hi - lo, false
-	}
+	stripPar, stripSeq, tally := stripRunners(ctx, opt.doallOptions(pool), l.Body, l.Cond, cf.At)
 	srep, err := speculate.RunStrippedPipelinedCtx(ctx,
 		speculate.Spec{Procs: opt.procs(), Shared: opt.Shared, Tested: opt.Tested,
 			Recovery: opt.recoveryFor(seqFrom), PanicFallback: opt.FallbackSequential,
@@ -554,7 +518,7 @@ func runInductionPipelined(ctx context.Context, l *loopir.Loop[int], opt Options
 	rep.Valid = srep.Valid
 	rep.Undone = srep.Undone
 	rep.PrefixCommitted = srep.PrefixCommitted
-	rep.Executed, rep.Overshot = executed, overshot
+	rep.Executed, rep.Overshot = tally.executed, tally.overshot
 	// Per-strip stamps never use the Section 8.1 threshold.
 	rep.StampThreshold = 0
 	rep.Strategy = fmt.Sprintf("%s + pipelined strip speculation", opt.InductionMethod)
@@ -721,12 +685,11 @@ func runOverTerms(ctx context.Context, l *loopir.Loop[float64], terms []float64,
 	pool, owned := opt.newPool()
 	defer closePool(pool, owned)
 	var doallRes sched.Result
+	slots := loopir.NewIterSlots(opt.procs())
 	run := func(tr mem.Tracker) (int, error) {
 		var err error
-		doallRes, err = sched.DOALLCtx(ctx, n, sched.Options{Procs: opt.procs(), Schedule: opt.Schedule,
-			Metrics: opt.Metrics, Tracer: opt.Tracer, Pool: pool}, func(i, vpn int) sched.Control {
-			it := loopir.Iter{Index: i, VPN: vpn, Tracker: tr}
-			if !l.Body(&it, terms[i]) {
+		doallRes, err = sched.DOALLCtx(ctx, n, opt.doallOptions(pool), func(i, vpn int) sched.Control {
+			if !l.Body(slots.At(vpn, i, tr), terms[i]) {
 				return sched.Quit
 			}
 			return sched.Continue
@@ -751,9 +714,9 @@ func runOverTerms(ctx context.Context, l *loopir.Loop[float64], terms []float64,
 	// Resume over the precomputed term values: iterations below `from`
 	// are already committed, only the remainder re-runs.
 	seqFrom := func(from int) int {
+		seqSlot := loopir.NewIterSlots(1)
 		for i := from; i < n; i++ {
-			it := loopir.Iter{Index: i, VPN: 0}
-			if !l.Body(&it, terms[i]) {
+			if !l.Body(seqSlot.At(0, i, nil), terms[i]) {
 				return i
 			}
 		}
@@ -790,30 +753,8 @@ func runOverTerms(ctx context.Context, l *loopir.Loop[float64], terms []float64,
 func runTermsPipelined(ctx context.Context, l *loopir.Loop[float64], terms []float64, opt Options, pool *sched.Pool,
 	rep Report, seqFrom func(int) int) (Report, error) {
 	n := len(terms)
-	var executed, overshot int
-	stripPar := func(trk mem.Tracker, lo, hi int) (int, bool, error) {
-		res, err := sched.DOALLCtx(ctx, hi-lo, sched.Options{Procs: opt.procs(), Schedule: opt.Schedule,
-			Metrics: opt.Metrics, Tracer: opt.Tracer, Pool: pool}, func(i, vpn int) sched.Control {
-			gi := lo + i
-			it := loopir.Iter{Index: gi, VPN: vpn, Tracker: trk}
-			if !l.Body(&it, terms[gi]) {
-				return sched.Quit
-			}
-			return sched.Continue
-		})
-		executed += res.Executed
-		overshot += res.Overshot
-		return res.QuitIndex, res.QuitIndex < hi-lo, err
-	}
-	stripSeq := func(lo, hi int) (int, bool) {
-		for i := lo; i < hi; i++ {
-			it := loopir.Iter{Index: i, VPN: 0}
-			if !l.Body(&it, terms[i]) {
-				return i - lo, true
-			}
-		}
-		return hi - lo, false
-	}
+	stripPar, stripSeq, tally := stripRunners(ctx, opt.doallOptions(pool), l.Body, nil,
+		func(i int) float64 { return terms[i] })
 	srep, err := speculate.RunStrippedPipelinedCtx(ctx,
 		speculate.Spec{Procs: opt.procs(), Shared: opt.Shared, Tested: opt.Tested,
 			Recovery: opt.recoveryFor(seqFrom), PanicFallback: opt.FallbackSequential,
@@ -822,7 +763,7 @@ func runTermsPipelined(ctx context.Context, l *loopir.Loop[float64], terms []flo
 	rep.Valid = srep.Valid
 	rep.Undone = srep.Undone
 	rep.PrefixCommitted = srep.PrefixCommitted
-	rep.Executed, rep.Overshot = executed, overshot
+	rep.Executed, rep.Overshot = tally.executed, tally.overshot
 	rep.Strategy += " + pipelined strip speculation"
 	if err != nil {
 		return finish(rep, opt), err
@@ -854,7 +795,7 @@ func RunListCtx(ctx context.Context, head *list.Node, body genrec.Body, class lo
 	defer stop()
 	if opt.Strategy == StrategySequential {
 		rep := Report{Strategy: "sequential (explicit)"}
-		rep.Valid = runListSequential(head, body)
+		rep.Valid = runListSequential(head, 0, body)
 		recordStats(opt, rep.Valid)
 		return finish(rep, opt), nil
 	}
@@ -868,7 +809,7 @@ func RunListCtx(ctx context.Context, head *list.Node, body genrec.Body, class lo
 	}
 	rep := Report{Decision: d, Strategy: method.String()}
 	if !ok {
-		rep.Valid = runListSequential(head, body)
+		rep.Valid = runListSequential(head, 0, body)
 		rep.Strategy = "sequential (cost model)"
 		recordStats(opt, rep.Valid)
 		return finish(rep, opt), nil
@@ -889,13 +830,13 @@ func RunListCtx(ctx context.Context, head *list.Node, body genrec.Body, class lo
 			r, rerr = genrec.General2Ctx(ctx, head, body, c)
 		case DoacrossList:
 			bound := list.Len(head)
+			slots := loopir.NewIterSlots(opt.procs())
 			res, derr := doacross.RunWhile(ctx, head,
 				func(n *list.Node) *list.Node { return n.Next },
 				func(n *list.Node) bool { return n != nil },
 				bound, doacross.Config{Procs: opt.procs(), Hooks: opt.hooks(), Pool: pool},
 				func(i, vpn int, nd *list.Node) bool {
-					it := loopir.Iter{Index: i, VPN: vpn, Tracker: c.Tracker}
-					return body(&it, nd)
+					return body(slots.At(vpn, i, c.Tracker), nd)
 				})
 			r = genrec.Result{Valid: res.QuitIndex, Executed: res.Executed}
 			if derr != nil {
@@ -927,15 +868,7 @@ func RunListCtx(ctx context.Context, head *list.Node, body genrec.Body, class lo
 		for i := 0; i < from && pt != nil; i++ {
 			pt = pt.Next
 		}
-		i := from
-		for ; pt != nil; pt = pt.Next {
-			it := loopir.Iter{Index: i, VPN: 0}
-			if !body(&it, pt) {
-				return i
-			}
-			i++
-		}
-		return i
+		return from + runListSequential(pt, from, body)
 	}
 	srep, err := speculate.RunCtx(ctx,
 		speculate.Spec{Procs: opt.procs(), Shared: opt.Shared, Tested: opt.Tested,
@@ -944,7 +877,7 @@ func RunListCtx(ctx context.Context, head *list.Node, body genrec.Body, class lo
 			PanicFallback: opt.FallbackSequential,
 			Metrics:       opt.Metrics, Tracer: opt.Tracer},
 		runner,
-		func() int { return runListSequential(head, body) },
+		func() int { return runListSequential(head, 0, body) },
 	)
 	if err != nil {
 		return finish(rep, opt), err
@@ -957,17 +890,75 @@ func RunListCtx(ctx context.Context, head *list.Node, body genrec.Body, class lo
 	return finish(rep, opt), nil
 }
 
-// runListSequential is the sequential reference traversal.
-func runListSequential(head *list.Node, body genrec.Body) int {
-	i := 0
-	for pt := head; pt != nil; pt = pt.Next {
-		it := loopir.Iter{Index: i, VPN: 0}
-		if !body(&it, pt) {
-			return i
+// runListSequential is the sequential reference traversal from node pt,
+// which is iteration `from` of the loop; it returns how many iterations
+// from there on were valid.
+func runListSequential(pt *list.Node, from int, body genrec.Body) int {
+	slot := loopir.NewIterSlots(1)
+	n := 0
+	for ; pt != nil; pt = pt.Next {
+		if !body(slot.At(0, from+n, nil), pt) {
+			break
 		}
-		i++
+		n++
 	}
-	return i
+	return n
+}
+
+// doallOptions is the DOALL configuration every parallel phase of this
+// execution shares.
+func (o Options) doallOptions(pool *sched.Pool) sched.Options {
+	return sched.Options{Procs: o.procs(), Schedule: o.Schedule,
+		Metrics: o.Metrics, Tracer: o.Tracer, Pool: pool}
+}
+
+// stripTally accumulates the DOALL counts of a strip-mined execution.
+// The engines serialize successive parallel strips (each overlapped
+// strip is joined before the next launches), so plain fields are safe.
+type stripTally struct{ executed, overshot int }
+
+// stripRunners builds the parallel and sequential strip runners of a
+// strip-mined speculative DOALL whose iteration i has dispatcher value
+// at(i) — a closed form, or a lookup into precomputed terms — and stops
+// where cond (nil: never) or the body says so.  Iterations carry their
+// global indices; a contained panic's strip-local index is re-anchored
+// to the global space before it unwinds.
+func stripRunners[D any](ctx context.Context, so sched.Options, body loopir.Body[D], cond func(D) bool,
+	at func(i int) D) (speculate.StripPar, speculate.StripSeq, *stripTally) {
+	tally := &stripTally{}
+	slots, seqSlot := loopir.NewIterSlots(so.Procs), loopir.NewIterSlots(1)
+	par := func(trk mem.Tracker, lo, hi int) (int, bool, error) {
+		res, err := sched.DOALLCtx(ctx, hi-lo, so, func(i, vpn int) sched.Control {
+			gi := lo + i
+			d := at(gi)
+			if cond != nil && !cond(d) {
+				return sched.Quit
+			}
+			if !body(slots.At(vpn, gi, trk), d) {
+				return sched.Quit
+			}
+			return sched.Continue
+		})
+		tally.executed += res.Executed
+		tally.overshot += res.Overshot
+		if pe, ok := cancel.AsPanic(err); ok && pe.Iter >= 0 {
+			pe.Iter += lo
+		}
+		return res.QuitIndex, res.QuitIndex < hi-lo, err
+	}
+	seq := func(lo, hi int) (int, bool) {
+		for i := lo; i < hi; i++ {
+			d := at(i)
+			if cond != nil && !cond(d) {
+				return i - lo, true
+			}
+			if !body(seqSlot.At(0, i, nil), d) {
+				return i - lo, true
+			}
+		}
+		return hi - lo, false
+	}
+	return par, seq, tally
 }
 
 // recordStats feeds the observed trip count back into the branch

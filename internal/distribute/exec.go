@@ -50,6 +50,7 @@ func Execute(blocks []Block, n int, opt ExecOptions, impl Impl) error {
 		}
 	}
 
+	slots := loopir.NewIterSlots(procs)
 	runStmts := func(b Block, it *loopir.Iter, i int) {
 		for _, s := range b.Stmts {
 			impl[s.ID](it, i)
@@ -64,21 +65,19 @@ func Execute(blocks []Block, n int, opt ExecOptions, impl Impl) error {
 			bi++ // the successor is consumed by the pipeline
 			doacross.Run(context.Background(), n, doacross.Config{Procs: procs}, func(i, vpn int, s *doacross.Sync) doacross.Control {
 				s.Wait(i, i-1)
-				it := loopir.Iter{Index: i, VPN: vpn, Tracker: opt.Tracker}
-				runStmts(b, &it, i)
+				it := slots.At(vpn, i, opt.Tracker)
+				runStmts(b, it, i)
 				s.Post(i)
-				runStmts(succ, &it, i)
+				runStmts(succ, it, i)
 				return doacross.Continue
 			})
 		case b.Kind == SequentialBlock:
 			for i := 0; i < n; i++ {
-				it := loopir.Iter{Index: i, VPN: 0, Tracker: opt.Tracker}
-				runStmts(b, &it, i)
+				runStmts(b, slots.At(0, i, opt.Tracker), i)
 			}
 		default: // ParallelBlock, PrefixBlock, PDTestBlock
 			sched.DOALL(n, sched.Options{Procs: procs}, func(i, vpn int) sched.Control {
-				it := loopir.Iter{Index: i, VPN: vpn, Tracker: opt.Tracker}
-				runStmts(b, &it, i)
+				runStmts(b, slots.At(vpn, i, opt.Tracker), i)
 				return sched.Continue
 			})
 		}
@@ -97,11 +96,12 @@ func ExecuteSequential(blocks []Block, n int, impl Impl) error {
 			}
 		}
 	}
+	slot := loopir.NewIterSlots(1)
 	for _, b := range blocks {
 		for i := 0; i < n; i++ {
-			it := loopir.Iter{Index: i, VPN: 0}
+			it := slot.At(0, i, nil)
 			for _, s := range b.Stmts {
-				impl[s.ID](&it, i)
+				impl[s.ID](it, i)
 			}
 		}
 	}

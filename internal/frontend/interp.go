@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"whilepar/internal/core"
@@ -27,7 +28,8 @@ import (
 // access.
 
 // Env binds the loop's free names: arrays, loop-invariant scalars, and
-// opaque functions.
+// opaque functions.  A function's args slice is the interpreter's
+// scratch and is valid only for the duration of the call.
 type Env struct {
 	Arrays  map[string]*mem.Array
 	Scalars map[string]float64
@@ -93,13 +95,55 @@ func Compile(ast *LoopAST, an *Analysis, env *Env, maxIter int) (*Program, error
 	return p, nil
 }
 
-// evalCtx is the per-iteration interpretation state.
+// evalCtx is one worker's interpretation state, re-armed per iteration
+// (begin) so that interpreting an iteration allocates nothing.
 type evalCtx struct {
 	p      *Program
 	it     *loopir.Iter
 	locals map[string]float64 // iteration-local temporaries (privatized)
 	d      int                // dispatcher value this iteration
 	err    error
+	// args is the call-argument stack: a call evaluates its arguments
+	// onto the top and pops them when the function returns, so nested
+	// calls share one buffer.
+	args []float64
+	// Keeps neighbouring workers' contexts (see evalCtxs) off one
+	// another's cache lines.
+	_ [64]byte
+}
+
+func newEvalCtx(p *Program) *evalCtx {
+	return &evalCtx{p: p, locals: map[string]float64{}}
+}
+
+// begin re-arms the context for one iteration.
+func (c *evalCtx) begin(it *loopir.Iter, d int) {
+	c.it, c.d, c.err = it, d, nil
+	clear(c.locals)
+	c.args = c.args[:0]
+}
+
+// evalCtxs holds one evalCtx per virtual processor, indexed by
+// Iter.VPN: iterations on one processor run one after another, so each
+// context has a single user at a time.
+type evalCtxs []*evalCtx
+
+func newEvalCtxs(p *Program, procs int) evalCtxs {
+	cs := make(evalCtxs, procs)
+	for k := range cs {
+		cs[k] = newEvalCtx(p)
+	}
+	return cs
+}
+
+// at returns processor vpn's context; a processor number beyond the
+// table (no engine issues one) gets a context of its own rather than
+// someone else's.
+func (cs evalCtxs) at(p *Program, vpn int) *evalCtx {
+	if vpn >= 0 && vpn < len(cs) {
+		return cs[vpn]
+	}
+	return newEvalCtx(p)
 }
 
 func (c *evalCtx) fail(format string, args ...any) float64 {
@@ -148,14 +192,17 @@ func (c *evalCtx) eval(e Expr) float64 {
 		if !ok {
 			return c.fail("unbound function %q", t.Fn)
 		}
-		args := make([]float64, len(t.Args))
-		for i, aexpr := range t.Args {
-			args[i] = c.eval(aexpr)
+		base := len(c.args)
+		for _, aexpr := range t.Args {
+			v := c.eval(aexpr) // may push and pop nested calls' arguments
+			c.args = append(c.args, v)
 		}
-		if c.err != nil {
-			return 0
+		var v float64
+		if c.err == nil {
+			v = f(c.args[base:])
 		}
-		return f(args)
+		c.args = c.args[:base]
+		return v
 	case Binary:
 		l := c.eval(t.L)
 		// Short-circuit forms.
@@ -206,10 +253,11 @@ func boolVal(b bool) float64 {
 	return 0
 }
 
-// iteration runs one interpreted iteration: header condition, body
-// statements, in-body exits.  Returns false on a termination condition.
-func (p *Program) iteration(it *loopir.Iter, d int) (bool, error) {
-	c := &evalCtx{p: p, it: it, locals: map[string]float64{}, d: d}
+// iteration runs one interpreted iteration in context c: header
+// condition, body statements, in-body exits.  Returns false on a
+// termination condition.
+func (p *Program) iteration(c *evalCtx, it *loopir.Iter, d int) (bool, error) {
+	c.begin(it, d)
 	if p.ast.Cond != nil && c.eval(p.ast.Cond) == 0 {
 		return false, c.err
 	}
@@ -254,9 +302,9 @@ func (p *Program) iteration(it *loopir.Iter, d int) (bool, error) {
 // RunSequential interprets the loop sequentially (the oracle).  It
 // returns the number of valid iterations.
 func (p *Program) RunSequential() (int, error) {
+	c, slot := newEvalCtx(p), loopir.NewIterSlots(1)
 	for i := 0; i < p.max; i++ {
-		it := loopir.Iter{Index: i, VPN: 0}
-		ok, err := p.iteration(&it, p.disp.At(i))
+		ok, err := p.iteration(c, slot.At(0, i, nil), p.disp.At(i))
 		if err != nil {
 			return i, err
 		}
@@ -286,11 +334,16 @@ func (p *Program) RunContext(ctx context.Context, opt core.Options) (core.Report
 		errMu    sync.Mutex
 		firstErr error
 	)
+	procs := opt.Procs
+	if procs <= 0 {
+		procs = runtime.GOMAXPROCS(0)
+	}
+	ctxs := newEvalCtxs(p, procs)
 	loop := &loopir.Loop[int]{
 		Class: p.an.Class,
 		Disp:  p.disp,
 		Body: func(it *loopir.Iter, d int) bool {
-			ok, err := p.iteration(it, d)
+			ok, err := p.iteration(ctxs.at(p, it.VPN), it, d)
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {

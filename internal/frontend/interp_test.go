@@ -1,9 +1,11 @@
 package frontend
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"whilepar/internal/core"
 	"whilepar/internal/mem"
 )
 
@@ -131,21 +133,17 @@ func TestInterpretedDependentLoopFallsBack(t *testing.T) {
 			acc[0] = acc[0] + a[i]
 			i = i + 1
 		}`, env, n)
-	// The analysis cannot prove independence of acc (self-dependent
-	// array statement): it should be flagged... acc[0] uses a constant
-	// subscript, not a nested one, so it is NOT flagged Unknown; mark it
-	// tested by hand the way a conservative compiler would.
-	rep, err := p.Run(4)
-	if err != nil {
+	// acc[0] uses a constant subscript, not a nested one, so the
+	// analysis does not flag it Unknown; mark it tested by hand, the way
+	// a conservative compiler would.  The PD test must then catch the
+	// dependence, and the re-execution must leave the sequential sum.
+	if _, err := p.RunContext(context.Background(), core.Options{Procs: 4, Strategy: core.StrategySpeculate, Tested: []*mem.Array{acc}}); err != nil {
 		t.Fatal(err)
 	}
-	_ = rep
-	// Regardless of which path ran, the result must be the sequential
-	// sum (with 1 virtual processor the speculative run IS sequential
-	// order; with more it may pass or fail the test — but this loop has
-	// no Tested annotation, so correctness rests on sequential
-	// consistency of the fallback...).  Assert the sum for the
-	// single-proc run only.
+	if acc.Data[0] != sum {
+		t.Fatalf("4-proc sum = %v, want %v", acc.Data[0], sum)
+	}
+	// And the single-processor run, which is the sequential order.
 	env2 := NewEnv()
 	a2 := mem.NewArray("a", n)
 	copy(a2.Data, a.Data)

@@ -35,6 +35,7 @@ func Chunked(c list.Chunked, body Body, cfg Config) Result {
 	var executed, overshot, hops atomic.Int64
 	hops.Add(int64(len(chunks))) // the header walk
 
+	slots := loopir.NewIterSlots(p)
 	sched.DOALL(len(chunks), sched.Options{Procs: p}, func(ci, vpn int) sched.Control {
 		ch := chunks[ci]
 		base := offs[ci]
@@ -43,8 +44,7 @@ func Chunked(c list.Chunked, body Body, cfg Config) Result {
 			if i > quit.get() {
 				return sched.Continue
 			}
-			it := loopir.Iter{Index: i, VPN: vpn, Tracker: cfg.Tracker}
-			if !body(&it, &ch.Elems[j]) {
+			if !body(slots.At(vpn, i, cfg.Tracker), &ch.Elems[j]) {
 				quit.record(i)
 			}
 			executed.Add(1)

@@ -33,9 +33,9 @@ func Distributed(head *list.Node, body Body, cfg Config) Result {
 	hops := int64(len(nodes))
 
 	// Loop 2 (DOALL): the remainder over the precomputed values.
+	slots := loopir.NewIterSlots(p)
 	res := sched.DOALL(len(nodes), sched.Options{Procs: p}, func(i, vpn int) sched.Control {
-		it := loopir.Iter{Index: i, VPN: vpn, Tracker: cfg.Tracker}
-		if !body(&it, nodes[i]) {
+		if !body(slots.At(vpn, i, cfg.Tracker), nodes[i]) {
 			return sched.Quit
 		}
 		return sched.Continue

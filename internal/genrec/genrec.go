@@ -27,6 +27,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"whilepar/internal/arena"
 	"whilepar/internal/cancel"
 	"whilepar/internal/list"
 	"whilepar/internal/loopir"
@@ -38,6 +39,10 @@ import (
 // Body is the remainder executed for each list node; it returns false if
 // the iteration met a remainder-variant termination condition (and, by
 // the package convention, did so before performing any stores).
+//
+// Lifetime: as for loopir.Body, the *loopir.Iter is valid only for the
+// duration of the call and must not be retained — it is the executing
+// worker's slot, re-armed for that worker's next iteration.
 type Body func(it *loopir.Iter, node *list.Node) bool
 
 // Config configures a general-recurrence parallel execution.
@@ -62,28 +67,28 @@ type Config struct {
 func (c Config) hooks() obs.Hooks { return obs.Hooks{M: c.Metrics, T: c.Tracer} }
 
 // execLog records which iterations each virtual processor executed.
-// Each worker appends only to its own slice (no locking); the merge in
-// finish happens after ForEachProc's wait, which orders it after every
-// append.  Counting overshoot afterwards, against the *final* quit
-// index, makes the accounting exact — a per-iteration `i > quit`
-// check would race against a concurrently-lowering quit minimum.
+// A worker appends to a slice of its own (worker.log, arena-backed) and
+// hands it over once, when it ends; the merge in finish happens after
+// ForEachProc's wait, which orders it after every hand-over.  Counting
+// overshoot afterwards, against the *final* quit index, makes the
+// accounting exact — a per-iteration `i > quit` check would race
+// against a concurrently-lowering quit minimum.
 type execLog struct {
 	byVP [][]int
 }
 
-func newExecLog(procs int) *execLog { return &execLog{byVP: make([][]int, procs)} }
-
-func (e *execLog) record(vpn, i int) { e.byVP[vpn] = append(e.byVP[vpn], i) }
-
-// finish counts executed iterations and those at or beyond valid.
+// finish counts executed iterations and those at or beyond valid, and
+// returns the logs to the arena.
 func (e *execLog) finish(valid int) (executed, overshot int) {
-	for _, idxs := range e.byVP {
+	for k, idxs := range e.byVP {
 		executed += len(idxs)
 		for _, i := range idxs {
 			if i >= valid {
 				overshot++
 			}
 		}
+		arena.PutInts(idxs)
+		e.byVP[k] = nil
 	}
 	return executed, overshot
 }
@@ -165,10 +170,10 @@ func (g *ctxGuard) done() {
 // false when the body panicked: the panic has been captured (first one
 // wins), siblings have been told to stop, and the caller must not log
 // the iteration as executed.
-func (g *ctxGuard) contain(i, vpn int, m *obs.Metrics, f func() bool) (quitted, ok bool) {
+func (g *ctxGuard) contain(body Body, it *loopir.Iter, node *list.Node, m *obs.Metrics) (quitted, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			pe := &cancel.PanicError{Iter: i, VPN: vpn, Value: r, Stack: debug.Stack()}
+			pe := &cancel.PanicError{Iter: it.Index, VPN: it.VPN, Value: r, Stack: debug.Stack()}
 			if g.panicAt.CompareAndSwap(nil, pe) {
 				m.WorkerPanic()
 			}
@@ -176,7 +181,7 @@ func (g *ctxGuard) contain(i, vpn int, m *obs.Metrics, f func() bool) (quitted, 
 			ok = false
 		}
 	}()
-	return f(), true
+	return !body(it, node), true
 }
 
 // resolve caps valid at the contiguous executed prefix when the run
@@ -218,6 +223,87 @@ func (q *quitMin) record(i int) {
 
 func (q *quitMin) get() int { return int(q.v.Load()) }
 
+// run is the state the workers of one general-method execution share.
+type run struct {
+	cfg    Config
+	method string // tracer category
+	body   Body
+	quit   *quitMin
+	g      *ctxGuard
+	slots  loopir.IterSlots
+	log    execLog
+	hops   atomic.Int64
+}
+
+func newRun(ctx context.Context, method string, body Body, cfg Config, bound int) *run {
+	p := cfg.procs()
+	return &run{cfg: cfg, method: method, body: body, quit: newQuitMin(bound), g: newCtxGuard(ctx),
+		slots: loopir.NewIterSlots(p), log: execLog{byVP: make([][]int, p)}}
+}
+
+// each runs work on every virtual processor with a worker of its own and
+// folds each worker's private counts in as it ends.  logCap sizes a
+// worker's executed-iteration log.
+func (r *run) each(ctx context.Context, logCap int, work func(w *worker)) error {
+	return sched.ForEachProc(ctx, r.cfg.procs(), sched.ProcConfig{Hooks: r.cfg.hooks(), Pool: r.cfg.Pool}, func(vpn int) {
+		w := worker{run: r, vpn: vpn, log: arena.Ints(logCap)}
+		defer w.fold()
+		work(&w)
+	})
+}
+
+// result resolves the execution's outcome after the join; valid is the
+// quit-derived valid count.
+func (r *run) result(valid int, runErr error) (Result, error) {
+	r.g.done()
+	valid, err := r.g.resolve(valid, &r.log, runErr)
+	executed, overshot := r.log.finish(valid)
+	r.cfg.Metrics.OvershotAdd(overshot)
+	return Result{Valid: valid, Executed: executed, Overshot: overshot, Hops: r.hops.Load()}, err
+}
+
+// worker is one virtual processor's private state.  Everything that is
+// only summed at the end — hops, issued and executed counts, the
+// executed-iteration log — accumulates here, in memory no other worker
+// touches, and is folded into the shared state once, by fold.
+type worker struct {
+	*run
+	vpn          int
+	log          []int
+	hops, issued int
+}
+
+func (w *worker) fold() {
+	w.run.hops.Add(int64(w.hops))
+	w.cfg.Metrics.IterIssued(w.issued)
+	w.cfg.Metrics.IterExecutedN(w.vpn, len(w.log))
+	w.run.log.byVP[w.vpn] = w.log
+}
+
+// exec runs iteration i on node behind the panic backstop, logs it and
+// posts its RV exit.  It returns false when the body panicked and the
+// worker must stop.
+func (w *worker) exec(i int, node *list.Node) bool {
+	tr := w.cfg.Tracer
+	ts := obs.Start(tr)
+	quitted, ok := w.g.contain(w.body, w.slots.At(w.vpn, i, w.cfg.Tracker), node, w.cfg.Metrics)
+	if !ok {
+		return false
+	}
+	w.log = append(w.log, i)
+	if tr != nil {
+		obs.Span(tr, ts, "iter", w.method, w.vpn, map[string]any{"i": i})
+	}
+	if quitted {
+		w.quit.record(i)
+		w.cfg.Metrics.QuitPosted()
+		if tr != nil {
+			obs.Instant(tr, "QUIT", w.method, w.vpn, map[string]any{"i": i})
+		}
+	}
+	return true
+}
+
 // General1 runs the loop with lock-serialized next() (Figure 4,
 // *General-1*): processors cooperatively traverse the list once, each
 // dispatcher advancement inside a critical section.  It preserves the
@@ -238,26 +324,20 @@ func General1(head *list.Node, body Body, cfg Config) Result {
 // panicking body is contained as a *cancel.PanicError and stops the
 // traversal the same way.
 func General1Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (Result, error) {
-	p := cfg.procs()
 	var (
-		mu   sync.Mutex
-		cur  = head
-		idx  int
-		hops atomic.Int64
+		mu  sync.Mutex
+		cur = head
+		idx int
 	)
 	bound := cfg.U
 	if bound <= 0 {
 		bound = int(^uint(0) >> 1) // effectively unbounded; nil ends it
 	}
-	quit := newQuitMin(bound)
-	log := newExecLog(p)
-	g := newCtxGuard(ctx)
-	defer g.done()
-
-	runErr := sched.ForEachProc(ctx, p, sched.ProcConfig{Hooks: cfg.hooks(), Pool: cfg.Pool}, func(vpn int) {
+	r := newRun(ctx, "general-1", body, cfg, bound)
+	runErr := r.each(ctx, 0, func(w *worker) {
 		for {
 			mu.Lock()
-			if g.stop.Load() || cur == nil || idx >= bound || idx > quit.get() {
+			if r.g.stop.Load() || cur == nil || idx >= bound || idx > r.quit.get() {
 				mu.Unlock()
 				return
 			}
@@ -265,40 +345,19 @@ func General1Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (R
 			i := idx
 			cur = cur.Next
 			idx++
-			hops.Add(1)
 			mu.Unlock()
-			cfg.Metrics.IterIssued(1)
-
-			ts := obs.Start(cfg.Tracer)
-			q, ok := g.contain(i, vpn, cfg.Metrics, func() bool {
-				it := loopir.Iter{Index: i, VPN: vpn, Tracker: cfg.Tracker}
-				return !body(&it, pt)
-			})
-			if !ok {
+			w.hops++
+			w.issued++
+			if !w.exec(i, pt) {
 				return
-			}
-			log.record(vpn, i)
-			cfg.Metrics.IterExecuted(vpn)
-			if cfg.Tracer != nil {
-				obs.Span(cfg.Tracer, ts, "iter", "general-1", vpn, map[string]any{"i": i})
-			}
-			if q {
-				quit.record(i)
-				cfg.Metrics.QuitPosted()
-				if cfg.Tracer != nil {
-					obs.Instant(cfg.Tracer, "QUIT", "general-1", vpn, map[string]any{"i": i})
-				}
 			}
 		}
 	})
-	valid := quit.get()
+	valid := r.quit.get()
 	if valid >= bound {
 		valid = idxClamp(idx, bound)
 	}
-	valid, err := g.resolve(valid, log, runErr)
-	executed, overshot := log.finish(valid)
-	cfg.Metrics.OvershotAdd(overshot)
-	return Result{Valid: valid, Executed: executed, Overshot: overshot, Hops: hops.Load()}, err
+	return r.result(valid, runErr)
 }
 
 func idxClamp(n, bound int) int {
@@ -325,60 +384,33 @@ func General2(head *list.Node, body Body, cfg Config) Result {
 // cancellation and panic contract).
 func General2Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (Result, error) {
 	p := cfg.procs()
-	var hops atomic.Int64
 	n := list.Len(head) // headers walk; counted as hops below per processor
-	quit := newQuitMin(n)
-	log := newExecLog(p)
-	g := newCtxGuard(ctx)
-	defer g.done()
-
-	runErr := sched.ForEachProc(ctx, p, sched.ProcConfig{Hooks: cfg.hooks(), Pool: cfg.Pool}, func(vpn int) {
+	r := newRun(ctx, "general-2", body, cfg, n)
+	runErr := r.each(ctx, n/p+1, func(w *worker) {
 		pt := head
 		// Initial advance to this processor's first iteration.
-		for j := 0; j < vpn && pt != nil; j++ {
+		for j := 0; j < w.vpn && pt != nil; j++ {
 			pt = pt.Next
-			hops.Add(1)
+			w.hops++
 		}
-		for i := vpn; pt != nil; i += p {
-			if g.stop.Load() {
+		for i := w.vpn; pt != nil; i += p {
+			if r.g.stop.Load() {
 				return
 			}
-			cfg.Metrics.IterIssued(1)
-			if i > quit.get() {
+			w.issued++
+			if i > r.quit.get() {
 				return
 			}
-			ts := obs.Start(cfg.Tracer)
-			node := pt
-			q, ok := g.contain(i, vpn, cfg.Metrics, func() bool {
-				it := loopir.Iter{Index: i, VPN: vpn, Tracker: cfg.Tracker}
-				return !body(&it, node)
-			})
-			if !ok {
+			if !w.exec(i, pt) {
 				return
-			}
-			log.record(vpn, i)
-			cfg.Metrics.IterExecuted(vpn)
-			if cfg.Tracer != nil {
-				obs.Span(cfg.Tracer, ts, "iter", "general-2", vpn, map[string]any{"i": i})
-			}
-			if q {
-				quit.record(i)
-				cfg.Metrics.QuitPosted()
-				if cfg.Tracer != nil {
-					obs.Instant(cfg.Tracer, "QUIT", "general-2", vpn, map[string]any{"i": i})
-				}
 			}
 			for j := 0; j < p && pt != nil; j++ {
 				pt = pt.Next
-				hops.Add(1)
+				w.hops++
 			}
 		}
 	})
-	valid := quit.get()
-	valid, err := g.resolve(valid, log, runErr)
-	executed, overshot := log.finish(valid)
-	cfg.Metrics.OvershotAdd(overshot)
-	return Result{Valid: valid, Executed: executed, Overshot: overshot, Hops: hops.Load()}, err
+	return r.result(r.quit.get(), runErr)
 }
 
 // General3 runs the loop with dynamic assignment and private cursors
@@ -397,72 +429,48 @@ func General3(head *list.Node, body Body, cfg Config) Result {
 // General3Ctx is General3 under a context (see General1Ctx for the
 // cancellation and panic contract).
 func General3Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (Result, error) {
-	p := cfg.procs()
 	bound := cfg.U
 	if bound <= 0 {
 		bound = list.Len(head)
 	}
-	var (
+	// The claim counter is the one word every iteration writes; a line
+	// of padding either side keeps it off the lines they all read.
+	var claim struct {
+		_    [64]byte
 		next atomic.Int64
-		hops atomic.Int64
-	)
-	quit := newQuitMin(bound)
-	log := newExecLog(p)
-	g := newCtxGuard(ctx)
-	defer g.done()
-
-	runErr := sched.ForEachProc(ctx, p, sched.ProcConfig{Hooks: cfg.hooks(), Pool: cfg.Pool}, func(vpn int) {
+		_    [64]byte
+	}
+	r := newRun(ctx, "general-3", body, cfg, bound)
+	runErr := r.each(ctx, bound/cfg.procs()+1, func(w *worker) {
 		pt := head
 		prev := 0 // pt currently points at iteration index `prev`
 		for {
-			if g.stop.Load() {
+			if r.g.stop.Load() {
 				return
 			}
-			i := int(next.Add(1) - 1)
+			i := int(claim.next.Add(1) - 1)
 			if i >= bound {
 				return
 			}
-			cfg.Metrics.IterIssued(1)
-			if i > quit.get() {
+			w.issued++
+			if i > r.quit.get() {
 				return
 			}
 			for j := 0; j < i-prev && pt != nil; j++ {
 				pt = pt.Next
-				hops.Add(1)
+				w.hops++
 			}
 			prev = i
 			if pt == nil {
 				// Fell off the list: the RI terminator fired at or
 				// before i; the list length caps validity.
-				quit.record(i)
+				r.quit.record(i)
 				return
 			}
-			ts := obs.Start(cfg.Tracer)
-			node := pt
-			q, ok := g.contain(i, vpn, cfg.Metrics, func() bool {
-				it := loopir.Iter{Index: i, VPN: vpn, Tracker: cfg.Tracker}
-				return !body(&it, node)
-			})
-			if !ok {
+			if !w.exec(i, pt) {
 				return
-			}
-			log.record(vpn, i)
-			cfg.Metrics.IterExecuted(vpn)
-			if cfg.Tracer != nil {
-				obs.Span(cfg.Tracer, ts, "iter", "general-3", vpn, map[string]any{"i": i})
-			}
-			if q {
-				quit.record(i)
-				cfg.Metrics.QuitPosted()
-				if cfg.Tracer != nil {
-					obs.Instant(cfg.Tracer, "QUIT", "general-3", vpn, map[string]any{"i": i})
-				}
 			}
 		}
 	})
-	valid := quit.get()
-	valid, err := g.resolve(valid, log, runErr)
-	executed, overshot := log.finish(valid)
-	cfg.Metrics.OvershotAdd(overshot)
-	return Result{Valid: valid, Executed: executed, Overshot: overshot, Hops: hops.Load()}, err
+	return r.result(r.quit.get(), runErr)
 }

@@ -122,13 +122,13 @@ func RunCtx(ctx context.Context, l *loopir.Loop[int], cfg Config) (Result, error
 	}
 	u := l.Max
 
+	slots := loopir.NewIterSlots(cfg.Procs)
 	iter := func(i, vpn int) bool { // returns true if the iteration hit the exit
 		d := cf.At(i)
 		if l.Cond != nil && !l.Cond(d) {
 			return true
 		}
-		it := loopir.Iter{Index: i, VPN: vpn, Tracker: cfg.Tracker}
-		return !l.Body(&it, d)
+		return !l.Body(slots.At(vpn, i, cfg.Tracker), d)
 	}
 
 	switch cfg.Method {

@@ -140,7 +140,9 @@ func TestSpeculationPlusUndoMatchesSequential(t *testing.T) {
 			seqA.Data[i] = -1
 		}
 
-		ts := tsmem.New(parA)
+		// One stamp shard per worker: a single-shard Memory is only
+		// safe when its stores are not concurrent.
+		ts := tsmem.NewSharded(procs, parA)
 		ts.Checkpoint()
 		lp := rvLoop(parA, exit, n)
 		res, err := Run(lp, Config{Procs: procs, Method: meth, Tracker: ts.Tracker()})

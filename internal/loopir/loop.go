@@ -1,6 +1,8 @@
 package loopir
 
 import (
+	"unsafe"
+
 	"whilepar/internal/mem"
 )
 
@@ -31,11 +33,19 @@ type ClosedForm[D any] interface {
 // reference executor and the parallel methods both adopt this
 // convention; the undo machinery (internal/tsmem) restores every store
 // of every iteration at or beyond the first exit-signalling one.
+//
+// Lifetime: the *Iter is valid only for the duration of the call and
+// must not be retained.  Every engine hands the body a per-worker slot
+// (IterSlots) that it overwrites for the worker's next iteration; a
+// body that keeps the pointer reads another iteration's index and
+// tracker.
 type Body[D any] func(it *Iter, d D) bool
 
 // Iter is the per-iteration execution context handed to a Body.  All
 // accesses to managed shared memory go through it so the run-time system
-// (time-stamping, PD-test shadow marking) can interpose.
+// (time-stamping, PD-test shadow marking) can interpose.  It is valid
+// only for the duration of the body call it was passed to and must not
+// be retained (see Body).
 type Iter struct {
 	// Index is the zero-based iteration number.
 	Index int
@@ -47,6 +57,38 @@ type Iter struct {
 	// Charge; the simulated-multiprocessor backend uses it to cost the
 	// iteration.
 	Work float64
+}
+
+// iterSlot pads an Iter to two cache lines, so that neighbouring
+// workers' slots never share one whatever the allocation's alignment.
+type iterSlot struct {
+	it Iter
+	_  [128 - unsafe.Sizeof(Iter{})]byte
+}
+
+// IterSlots holds one Iter per virtual processor.  A body is a func
+// value, so an Iter built on an engine's stack escapes to the heap on
+// every iteration; an engine instead allocates its slots once per run
+// and re-arms the executing worker's slot per iteration.  Slot vpn is
+// written only by the worker running as vpn.
+type IterSlots []iterSlot
+
+// NewIterSlots returns slots for procs virtual processors (at least
+// one).
+func NewIterSlots(procs int) IterSlots {
+	if procs < 1 {
+		procs = 1
+	}
+	return make(IterSlots, procs)
+}
+
+// At re-arms worker vpn's slot for iteration index under tracker t —
+// every field is reset, Work included — and returns it.  The pointer is
+// good until the same worker's next At.
+func (s IterSlots) At(vpn, index int, t mem.Tracker) *Iter {
+	it := &s[vpn].it
+	*it = Iter{Index: index, VPN: vpn, Tracker: t}
+	return it
 }
 
 // Load reads element idx of managed array a through the tracker.
@@ -174,13 +216,14 @@ func RunSequential[D any](l *Loop[D]) SeqResult {
 // still observe accesses (e.g. to collect statistics).
 func RunSequentialTracked[D any](l *Loop[D], t mem.Tracker) SeqResult {
 	var res SeqResult
+	slots := NewIterSlots(1)
 	d := l.Disp.Start()
 	for i := 0; l.Max <= 0 || i < l.Max; i++ {
 		if l.Cond != nil && !l.Cond(d) {
 			return res
 		}
-		it := Iter{Index: i, VPN: 0, Tracker: t}
-		if !l.Body(&it, d) {
+		it := slots.At(0, i, t)
+		if !l.Body(it, d) {
 			res.ExitRV = true
 			return res
 		}

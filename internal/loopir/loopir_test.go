@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"whilepar/internal/mem"
 )
@@ -228,5 +229,37 @@ func TestAffineDispatcherWalk(t *testing.T) {
 			t.Fatalf("term %d = %v, want %v", i, x, w)
 		}
 		x = d.Next(x)
+	}
+}
+
+func TestIterSlotsRearmEveryField(t *testing.T) {
+	slots := NewIterSlots(3)
+	tr := mem.Chain{}
+	it := slots.At(1, 7, tr)
+	if it.Index != 7 || it.VPN != 1 || it.Tracker == nil {
+		t.Fatalf("At(1, 7, tr) = %+v", *it)
+	}
+	it.Charge(2.5)
+	// The same worker's next iteration gets the same slot, re-armed: a
+	// body that had retained the pointer now reads iteration 8.
+	next := slots.At(1, 8, nil)
+	if next != it || it.Index != 8 || it.Tracker != nil || it.Work != 0 {
+		t.Fatalf("re-armed slot = %+v (same slot: %v)", *it, next == it)
+	}
+	// Neighbouring workers' slots are at least a cache line apart.
+	a, b := slots.At(0, 0, nil), slots.At(1, 0, nil)
+	if d := uintptr(unsafe.Pointer(b)) - uintptr(unsafe.Pointer(a)); d < 64+unsafe.Sizeof(Iter{}) {
+		t.Fatalf("slots %d bytes apart", d)
+	}
+	if got := len(NewIterSlots(0)); got != 1 {
+		t.Fatalf("NewIterSlots(0) has %d slots, want 1", got)
+	}
+}
+
+func TestRunSequentialSumsWorkPerIteration(t *testing.T) {
+	l := &Loop[int]{Disp: IntInduction{C: 1}, Max: 10,
+		Body: func(it *Iter, d int) bool { it.Charge(1.5); return d < 6 }}
+	if r := RunSequential(l); r.Iterations != 6 || r.Work != 9 || !r.ExitRV {
+		t.Fatalf("RunSequential = %+v, want 6 iterations of 1.5 work and an RV exit", r)
 	}
 }

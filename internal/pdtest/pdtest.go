@@ -39,13 +39,17 @@
 // equals the test's current epoch, making Reset a single counter bump —
 // and each processor journals the elements it touches, so Analyze
 // merges exactly the touched set instead of sweeping all n elements.
+// The same tags make a shadow reusable between runs without clearing
+// it: a released shadow is pooled together with the last epoch it was
+// used under, and the next Test that takes it starts one epoch later,
+// so everything it still holds is stale by construction.
 // NewEager keeps the eager-sweep, full-scan scheme as the equivalence
 // oracle and baseline.
 package pdtest
 
 import (
+	"context"
 	"math"
-	"sync/atomic"
 
 	"whilepar/internal/arena"
 	"whilepar/internal/mem"
@@ -82,11 +86,10 @@ type pdRec struct {
 	_ uint32
 }
 
-var pdRecPool = arena.NewSlicePool[pdRec]()
-
 // shadow is one virtual processor's private marking state for one array.
 type shadow struct {
-	// recs[e] is element e's packed marking record.
+	// recs[e] is element e's packed marking record.  Its length is the
+	// array's; its capacity is the pooled buffer's.
 	recs []pdRec
 	// dirty journals the elements this processor touched in the current
 	// epoch (first touch only), giving Analyze its worklist.  Unused
@@ -96,24 +99,38 @@ type shadow struct {
 	// Reset; the per-shadow split keeps the hot path free of shared
 	// atomics (summed post-barrier by Accesses).
 	accesses int64
+	// epoch is what a pooled shadow carries from one Test to the next:
+	// no tag anywhere in recs' capacity exceeds it, so under any later
+	// epoch the whole buffer reads as unmarked.
+	epoch uint32
 }
 
-func newShadow(n int, eager bool) *shadow {
-	// Recycled records must come back with all-stale tags: a leftover
-	// tag equal to a fresh test's live epoch would read as current
-	// marks.
-	s := &shadow{recs: pdRecPool.GetZeroed(n)}
-	if eager {
-		// Pin every tag live and eagerly initialize every slot: the
-		// pre-epoch scheme, where Reset's sweep is the only
-		// reinitialization.
-		for i := range s.recs {
-			s.recs[i].tag = 1
-		}
-		s.sweep()
-	} else {
-		s.dirty = arena.Ints(64)
+// shadowPool recycles epoch-mode shadows whole — records, journal and
+// last epoch — so a new Test pays neither an allocation nor a clear of
+// procs x n records.
+var shadowPool arena.Pool[shadow]
+
+// newShadow returns an epoch-mode shadow for n elements: a pooled one,
+// whose records are stale under every epoch above s.epoch, or a fresh
+// one, whose zeroed tags are stale under every epoch.
+func newShadow(n int) *shadow {
+	s := shadowPool.Get(n)
+	if s == nil {
+		s = &shadow{recs: make([]pdRec, arena.ClassCap(n)), dirty: arena.Ints(64)}
 	}
+	s.recs = s.recs[:n]
+	return s
+}
+
+// newEagerShadow pins every tag live and eagerly initializes every
+// slot: the pre-epoch scheme, where Reset's sweep is the only
+// reinitialization.  The oracle's shadows are not pooled.
+func newEagerShadow(n int) *shadow {
+	s := &shadow{recs: make([]pdRec, n)}
+	for i := range s.recs {
+		s.recs[i].tag = 1
+	}
+	s.sweep()
 	return s
 }
 
@@ -127,20 +144,10 @@ func (s *shadow) sweep() {
 	}
 }
 
-func (s *shadow) release() {
-	pdRecPool.Put(s.recs)
-	arena.PutInts(s.dirty)
-	*s = shadow{}
-}
-
-// atomicMin lowers a to v if v is smaller.
-func atomicMin(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v >= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+// release pools an epoch-mode shadow last used under epoch.
+func (s *shadow) release(epoch uint32) {
+	s.epoch, s.dirty, s.accesses = epoch, s.dirty[:0], 0
+	shadowPool.Put(cap(s.recs), s)
 }
 
 // insert2 maintains the two smallest distinct values.
@@ -159,17 +166,12 @@ func insert2(a, b *int64, v int64) {
 type Test struct {
 	arr     *mem.Array
 	shadows []*shadow
-	// epoch is the current shadow generation.  It starts at 1 so the
-	// zeroed tags of a fresh allocation are already stale; in eager
-	// mode it never moves.
+	// epoch is the current shadow generation: above the last epoch of
+	// every pooled shadow the test took, so whatever they hold is
+	// stale, and never zero, so a fresh shadow's zeroed tags are too.
+	// In eager mode it never moves.
 	epoch uint32
 	eager bool
-
-	// seen/seenGen deduplicate the per-shadow dirty journals into
-	// touched, Analyze's worklist (epoch mode only).
-	seen    []uint32
-	seenGen uint32
-	touched []int
 
 	// Optional observability hooks (nil-safe).
 	obsM *obs.Metrics
@@ -195,28 +197,55 @@ func newTest(a *mem.Array, procs int, eager bool) *Test {
 	if procs < 1 {
 		procs = 1
 	}
-	t := &Test{arr: a, shadows: make([]*shadow, procs), epoch: 1, eager: eager}
+	t := &Test{arr: a, shadows: make([]*shadow, procs), eager: eager}
+	if eager {
+		t.epoch = 1
+		for k := range t.shadows {
+			t.shadows[k] = newEagerShadow(a.Len())
+		}
+		return t
+	}
 	for k := range t.shadows {
-		t.shadows[k] = newShadow(a.Len(), eager)
+		s := newShadow(a.Len())
+		if s.epoch > t.epoch {
+			t.epoch = s.epoch
+		}
+		t.shadows[k] = s
 	}
-	if !eager {
-		t.seen = arena.Uint32sZeroed(a.Len())
-	}
+	t.nextEpoch()
 	return t
 }
 
-// Release returns the test's shadow buffers to the shared arena.  The
-// test must not be used afterwards; call it when an engine is done with
-// its per-invocation tests.
+// nextEpoch invalidates every mark at once by moving to a generation no
+// tag in any shadow carries.
+func (t *Test) nextEpoch() {
+	t.epoch++
+	if t.epoch == 0 {
+		// uint32 wrap: tags written 2^32 generations ago would read as
+		// live again, so pay one full sweep to zero them and restart at
+		// 1 (zero is never a live epoch).  The sweep covers each
+		// buffer's whole capacity: a later, longer user of a pooled
+		// shadow must not find pre-wrap tags beyond this array's end.
+		for _, s := range t.shadows {
+			full := s.recs[:cap(s.recs)]
+			for i := range full {
+				full[i].tag = 0
+			}
+		}
+		t.epoch = 1
+	}
+}
+
+// Release pools the test's shadows for the next Test.  The test must
+// not be used afterwards; call it when an engine is done with its
+// per-invocation tests.
 func (t *Test) Release() {
-	for _, s := range t.shadows {
-		s.release()
+	if !t.eager {
+		for _, s := range t.shadows {
+			s.release(t.epoch)
+		}
 	}
 	t.shadows = nil
-	arena.PutUint32s(t.seen)
-	t.seen = nil
-	arena.PutInts(t.touched)
-	t.touched = nil
 }
 
 // Array returns the array under test.
@@ -380,119 +409,167 @@ func (t *Test) Analyze(valid int) Result { return t.analyze(valid, true) }
 func (t *Test) AnalyzeQuiet(valid int) Result { return t.analyze(valid, false) }
 
 // inlineScan is the worklist size below which the merge runs inline on
-// the caller: spawning a DOALL's worth of goroutines costs more than
-// merging a strip-sized touched set.
+// the caller: spawning a worker per processor costs more than merging a
+// strip-sized touched set.
 const inlineScan = 4096
 
+// verdict is one scan worker's private result: plain fields a worker
+// accumulates over its share of the worklist and hands over once, so
+// the scan writes nothing shared.
+type verdict struct {
+	exposed, outputDep, flowAnti bool
+	firstViol                    int64
+	// merged counts the distinct elements merged.
+	merged int
+}
+
+func (v *verdict) violation(iter int64) {
+	if iter < v.firstViol {
+		v.firstViol = iter
+	}
+}
+
+// add folds another worker's verdict into v.
+func (v *verdict) add(o verdict) {
+	v.exposed = v.exposed || o.exposed
+	v.outputDep = v.outputDep || o.outputDep
+	v.flowAnti = v.flowAnti || o.flowAnti
+	v.violation(o.firstViol)
+	v.merged += o.merged
+}
+
+// scanElem merges element e's per-processor marks over shadows[from:] —
+// the two smallest distinct writer iterations and exposed-read
+// iterations — and folds its verdict into v.  Shadows whose slot is
+// stale (untouched this epoch) carry no marks for e; in eager mode
+// every tag is pinned live.
+func (t *Test) scanElem(e, from int, valid int64, v *verdict) {
+	w1, w2, r1, r2 := never, never, never, never
+	for _, s := range t.shadows[from:] {
+		r := &s.recs[e]
+		if r.tag != t.epoch {
+			continue
+		}
+		insert2(&w1, &w2, r.w1)
+		insert2(&w1, &w2, r.w2)
+		insert2(&r1, &r2, r.r1)
+		insert2(&r1, &r2, r.r2)
+	}
+	v.merged++
+	if r1 < valid {
+		v.exposed = true
+	}
+	if w2 < valid {
+		v.outputDep = true
+		v.violation(w1)
+	}
+	if w1 < valid && r1 < valid {
+		// A flow/anti dependence needs a writer and an exposed reader
+		// in different valid iterations.  Only if the sole valid writer
+		// and sole valid exposed reader are the same iteration is the
+		// element clean.
+		clean := w1 == r1 && w2 >= valid && r2 >= valid
+		if !clean {
+			v.flowAnti = true
+			if r1 < w1 {
+				v.violation(r1)
+			} else {
+				v.violation(w1)
+			}
+		}
+	}
+}
+
+// worklist is the number of scan positions: every element in eager
+// mode, every journal entry in epoch mode.
+func (t *Test) worklist() int {
+	if t.eager {
+		return t.arr.Len()
+	}
+	n := 0
+	for _, s := range t.shadows {
+		n += len(s.dirty)
+	}
+	return n
+}
+
+// scan merges worklist positions [lo, hi).  In epoch mode the worklist
+// is the processors' journals laid end to end; an element several
+// processors touched appears once per journal and is merged only at its
+// first appearance — from the lowest-numbered processor that holds live
+// marks for it — so the journals need no separate deduplication pass.
+func (t *Test) scan(lo, hi int, valid int64) verdict {
+	v := verdict{firstViol: never}
+	if t.eager {
+		for e := lo; e < hi; e++ {
+			t.scanElem(e, 0, valid, &v)
+		}
+		return v
+	}
+	pos := 0
+	for k, s := range t.shadows {
+		d := s.dirty
+		from, to := lo-pos, hi-pos
+		pos += len(d)
+		if to <= 0 {
+			break
+		}
+		if from < 0 {
+			from = 0
+		}
+		if to > len(d) {
+			to = len(d)
+		}
+	journal:
+		for j := from; j < to; j++ {
+			e := d[j]
+			for _, lower := range t.shadows[:k] {
+				if lower.recs[e].tag == t.epoch {
+					continue journal
+				}
+			}
+			t.scanElem(e, k, valid, &v)
+		}
+	}
+	return v
+}
+
 func (t *Test) analyze(valid int, record bool) Result {
-	n := t.arr.Len()
-	v := int64(valid)
-	var outputDep, flowAnti, exposed atomic.Bool
-	var firstViol atomic.Int64
-	firstViol.Store(never)
-
-	// Build the worklist: in epoch mode only journaled elements can
-	// carry live marks.  The journals hold first-touches per processor,
-	// so the union is deduplicated against a generation-tagged scratch.
-	work := n
-	if !t.eager {
-		t.seenGen++
-		if t.seenGen == 0 {
-			for i := range t.seen {
-				t.seen[i] = 0
-			}
-			t.seenGen = 1
-		}
-		touched := t.touched[:0]
-		for _, s := range t.shadows {
-			for _, e := range s.dirty {
-				if t.seen[e] != t.seenGen {
-					t.seen[e] = t.seenGen
-					touched = append(touched, e)
-				}
-			}
-		}
-		t.touched = touched
-		work = len(touched)
-	}
-
-	scan := func(e int) {
-		// Merge per-processor marks for element e: the two smallest
-		// distinct writer iterations and exposed-read iterations.
-		// Shadows whose slot is stale (untouched this epoch) carry no
-		// marks for e; in eager mode every tag is pinned live.
-		w1, w2, r1, r2 := never, never, never, never
-		for _, s := range t.shadows {
-			r := &s.recs[e]
-			if r.tag != t.epoch {
-				continue
-			}
-			insert2(&w1, &w2, r.w1)
-			insert2(&w1, &w2, r.w2)
-			insert2(&r1, &r2, r.r1)
-			insert2(&r1, &r2, r.r2)
-		}
-		if r1 < v {
-			exposed.Store(true)
-		}
-		if w2 < v {
-			outputDep.Store(true)
-			atomicMin(&firstViol, w1)
-		}
-		if w1 < v && r1 < v {
-			// A flow/anti dependence needs a writer and an exposed
-			// reader in different valid iterations.  Only if the sole
-			// valid writer and sole valid exposed reader are the same
-			// iteration is the element clean.
-			clean := w1 == r1 && w2 >= v && r2 >= v
-			if !clean {
-				flowAnti.Store(true)
-				if r1 < w1 {
-					atomicMin(&firstViol, r1)
-				} else {
-					atomicMin(&firstViol, w1)
-				}
-			}
-		}
-	}
-
-	switch {
-	case t.eager:
-		// Oracle shape: the element scan is itself a DOALL over the
-		// shadow arrays — fully parallel regardless of the original
-		// loop's nature.
-		sched.DOALL(n, sched.Options{Procs: len(t.shadows)}, func(e, _ int) sched.Control {
-			scan(e)
-			return sched.Continue
+	// The merge is itself fully parallel, whatever the original loop's
+	// nature: each processor takes a contiguous share of the worklist
+	// and the shares' verdicts are reduced after the join.
+	work, p := t.worklist(), len(t.shadows)
+	v := verdict{firstViol: never}
+	if work <= inlineScan || p == 1 {
+		v = t.scan(0, work, int64(valid))
+	} else {
+		parts := make([]verdict, p)
+		// The scan reads marks only; no context to honour, no body to
+		// contain.
+		_ = sched.ForEachProc(context.Background(), p, sched.ProcConfig{}, func(w int) {
+			parts[w] = t.scan(w*work/p, (w+1)*work/p, int64(valid))
 		})
-	case work <= inlineScan || len(t.shadows) == 1:
-		for _, e := range t.touched {
-			scan(e)
+		for _, part := range parts {
+			v.add(part)
 		}
-	default:
-		touched := t.touched
-		sched.DOALL(work, sched.Options{Procs: len(t.shadows)}, func(j, _ int) sched.Control {
-			scan(touched[j])
-			return sched.Continue
-		})
 	}
 
 	res := Result{
-		DOALL:              !outputDep.Load() && !flowAnti.Load(),
-		DOALLWithPriv:      !flowAnti.Load(),
-		PrivatizableStrict: !exposed.Load(),
-		OutputDep:          outputDep.Load(),
-		FlowAntiDep:        flowAnti.Load(),
+		DOALL:              !v.outputDep && !v.flowAnti,
+		DOALLWithPriv:      !v.flowAnti,
+		PrivatizableStrict: !v.exposed,
+		OutputDep:          v.outputDep,
+		FlowAntiDep:        v.flowAnti,
 		FirstViolation:     -1,
 		Accesses:           t.Accesses(),
 	}
-	if fv := firstViol.Load(); fv != never {
-		res.FirstViolation = int(fv)
+	if v.firstViol != never {
+		res.FirstViolation = int(v.firstViol)
 	}
 	if record {
 		// The verdict is computed by merging the per-processor shadow
 		// shards element-wise; account that like a stamp-shard merge.
-		t.obsM.ShardMergeDone(len(t.shadows), work)
+		t.obsM.ShardMergeDone(p, v.merged)
 		t.obsM.RecordPD(obs.PDVerdict{
 			Array: t.arr.Name, DOALL: res.DOALL, DOALLWithPriv: res.DOALLWithPriv, Accesses: res.Accesses,
 		})
@@ -516,18 +593,7 @@ func (t *Test) Reset() {
 			s.sweep()
 		}
 	} else {
-		t.epoch++
-		if t.epoch == 0 {
-			// uint32 wrap: tags written 2^32 generations ago would read
-			// as live again, so pay one full sweep to zero them and
-			// restart at 1 (zero is never a live epoch).
-			for _, s := range t.shadows {
-				for i := range s.recs {
-					s.recs[i].tag = 0
-				}
-			}
-			t.epoch = 1
-		}
+		t.nextEpoch()
 		for _, s := range t.shadows {
 			s.dirty = s.dirty[:0]
 		}

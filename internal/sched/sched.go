@@ -137,6 +137,48 @@ type blockCursor struct {
 	_ [56]byte
 }
 
+// tally is one worker's private accounting, written once per chunk and
+// padded so that no two workers' tallies share a cache line.  The
+// iteration path itself writes nothing shared: what ran is recovered
+// after the join from the tallies and the claim cursors (see account).
+type tally struct {
+	// executed counts the iterations whose body completed.
+	executed int
+	// hole is the unexecuted tail — indices lo, lo+stride, ... below
+	// hi — of the chunk this worker abandoned last.
+	hole struct{ lo, hi, stride int }
+	_    [32]byte
+}
+
+// doall is the shared state of one DOALL execution.
+type doall struct {
+	// quitAt (the smallest index that returned Quit) and stopped (the
+	// cancellation/panic flag) are read before every iteration and
+	// written a handful of times per execution.
+	quitAt  atomic.Int64
+	stopped atomic.Bool
+	panicAt atomic.Pointer[cancel.PanicError]
+
+	// next is the Dynamic and Guided issue counter.  Every claim writes
+	// it, so a full line of padding on either side keeps it off the
+	// lines every iteration reads, whatever the struct's alignment.
+	_    [64]byte
+	next atomic.Int64
+	_    [64]byte
+
+	n, p     int
+	schedule Schedule
+	body     func(i, vpn int) Control
+	m        *obs.Metrics
+	tr       obs.Tracer
+
+	// Stealing: one claim cursor per home block of blockSpan indices.
+	blocks    []blockCursor
+	blockSpan int
+
+	tallies []tally
+}
+
 // DOALL executes iterations [0, n) of body on opts.procs() goroutines
 // with QUIT semantics.  body receives the iteration index and the
 // virtual processor number and must be safe for concurrent invocation on
@@ -174,263 +216,35 @@ func DOALL(n int, opts Options, body func(i, vpn int) Control) Result {
 func DOALLCtx(ctx context.Context, n int, opts Options, body func(i, vpn int) Control) (Result, error) {
 	p := opts.procs()
 	if opts.Pool != nil && p > opts.Pool.Size() {
-		// The worker closures below bake p into their schedules (the
-		// Static stride, Guided chunk divisor), so the clamp must
-		// happen before they are built.
+		// The workers bake p into their schedules (the Static stride,
+		// the Guided chunk divisor), so the clamp comes first.
 		p = opts.Pool.Size()
 	}
 	if n <= 0 {
 		return Result{QuitIndex: 0}, nil
 	}
-
-	m, tr := opts.Metrics, opts.Tracer
-
+	m := opts.Metrics
 	if err := cancel.Err(ctx); err != nil {
 		m.CtxCancel()
 		return Result{QuitIndex: n}, err
 	}
 
-	var (
-		next    atomic.Int64 // dynamic issue counter
-		quitAt  atomic.Int64 // min index that returned Quit
-		stopped atomic.Bool  // cancellation/panic stop flag
-		panicAt atomic.Pointer[cancel.PanicError]
-		blocks  []blockCursor // Stealing: one claim cursor per home block
-	)
-	quitAt.Store(int64(n))
-	blockSpan := 0
-	if opts.Schedule == Stealing {
-		blocks = make([]blockCursor, p)
-		blockSpan = (n + p - 1) / p
-		for k := range blocks {
-			blocks[k].c.Store(int64(k * blockSpan))
+	d := &doall{n: n, p: p, schedule: opts.Schedule, body: body, m: m, tr: opts.Tracer,
+		tallies: make([]tally, p)}
+	d.quitAt.Store(int64(n))
+	if d.schedule == Stealing {
+		d.blocks = make([]blockCursor, p)
+		d.blockSpan = (n + p - 1) / p
+		for k := range d.blocks {
+			d.blocks[k].c.Store(int64(k * d.blockSpan))
 		}
 	}
 
 	// One atomic flag, flipped by context.AfterFunc, makes the per-chunk
 	// cancellation check a plain load instead of a channel poll.
 	if ctx != nil && ctx.Done() != nil {
-		stopWatch := context.AfterFunc(ctx, func() { stopped.Store(true) })
+		stopWatch := context.AfterFunc(ctx, func() { d.stopped.Store(true) })
 		defer stopWatch()
-	}
-
-	// ran records which iterations actually executed.  Every index has
-	// exactly one owner (the worker that claimed it), so plain bools
-	// suffice; the reads below happen after wg.Wait(), which orders them
-	// after every write.  Overshoot is then computed against the *final*
-	// quit index — the per-iteration check `i > quitAt` used previously
-	// raced against a concurrently-lowering quitAt and undercounted.
-	ran := make([]bool, n)
-
-	// Executed counts are batched per worker and flushed at chunk
-	// boundaries (or loop exit) by the callers, so the hot path pays no
-	// per-iteration busy-slot lookup.
-	runIter := func(i, vpn int) {
-		defer func() {
-			if r := recover(); r != nil {
-				pe := &cancel.PanicError{Iter: i, VPN: vpn, Value: r, Stack: debug.Stack()}
-				if panicAt.CompareAndSwap(nil, pe) {
-					m.WorkerPanic()
-				}
-				stopped.Store(true)
-			}
-		}()
-		ts := obs.Start(tr)
-		c := body(i, vpn)
-		ran[i] = true
-		if tr != nil {
-			obs.Span(tr, ts, "iter", "doall", vpn, map[string]any{"i": i})
-		}
-		if c == Quit {
-			// CAS-min on quitAt.
-			for {
-				cur := quitAt.Load()
-				if int64(i) >= cur || quitAt.CompareAndSwap(cur, int64(i)) {
-					break
-				}
-			}
-			m.QuitPosted()
-			if tr != nil {
-				obs.Instant(tr, "QUIT", "doall", vpn, map[string]any{"i": i})
-			}
-		}
-	}
-
-	worker := func(vpn int) {
-		switch opts.Schedule {
-		case Stealing:
-			// Geometric chunking as in Dynamic, but claims hit the home
-			// block's private cursor first; only after the home block is
-			// drained (or killed by a QUIT below it) does the worker
-			// scan the other blocks, round-robin from its own.
-			maxChunk := int64(n / (8 * p))
-			if maxChunk > 64 {
-				maxChunk = 64
-			}
-			if maxChunk < 1 {
-				maxChunk = 1
-			}
-			chunk := int64(1)
-			for d := 0; d < p; d++ {
-				b := (vpn + d) % p
-				end := int64((b + 1) * blockSpan)
-				if end > int64(n) {
-					end = int64(n)
-				}
-				cur := &blocks[b].c
-				for {
-					c := cur.Load()
-					if stopped.Load() {
-						return
-					}
-					if c >= end || c > quitAt.Load() {
-						// Block exhausted, or its smallest unclaimed
-						// index is beyond a posted QUIT: every index
-						// still unclaimed here is dead work.  Cursors
-						// are monotone and quitAt only decreases, so a
-						// finished block never revives — one pass over
-						// all p blocks covers the whole space.
-						break
-					}
-					size := chunk
-					if rem := end - c; size > rem {
-						size = rem
-					}
-					if !cur.CompareAndSwap(c, c+size) {
-						continue
-					}
-					lo, hi := int(c), int(c+size)
-					m.IterIssued(hi - lo)
-					if d == 0 {
-						m.DynamicChunk(hi - lo)
-					} else {
-						m.StealChunk(hi - lo)
-					}
-					if chunk < maxChunk {
-						chunk *= 2
-						if chunk > maxChunk {
-							chunk = maxChunk
-						}
-					}
-					done := 0
-					for i := lo; i < hi; i++ {
-						if stopped.Load() || int64(i) > quitAt.Load() {
-							break
-						}
-						runIter(i, vpn)
-						done++
-					}
-					m.IterExecutedN(vpn, done)
-				}
-			}
-		case Static:
-			issued, done := 0, 0
-			for i := vpn; i < n; i += p {
-				if stopped.Load() {
-					break
-				}
-				issued++
-				if int64(i) > quitAt.Load() {
-					// A smaller iteration already quit; do not begin
-					// larger ones.  Smaller ones on this processor have
-					// already run (we go in order), so stop entirely.
-					break
-				}
-				runIter(i, vpn)
-				done++
-			}
-			m.IterIssued(issued)
-			m.IterExecutedN(vpn, done)
-		case Guided:
-			for {
-				// Claim a chunk of ceil(remaining/(2p)) iterations.
-				var lo, hi int
-				for {
-					cur := next.Load()
-					if stopped.Load() || cur >= int64(n) || cur > quitAt.Load() {
-						// The space is exhausted, a QUIT at an index
-						// below the next chunk has been posted, or the
-						// context was canceled — claiming further chunks
-						// could only produce dead work, so stop issuing
-						// promptly.
-						return
-					}
-					size := (int64(n) - cur + int64(2*p) - 1) / int64(2*p)
-					if size < 1 {
-						size = 1
-					}
-					if next.CompareAndSwap(cur, cur+size) {
-						lo, hi = int(cur), int(cur+size)
-						break
-					}
-				}
-				if hi > n {
-					hi = n
-				}
-				m.IterIssued(hi - lo)
-				m.GuidedChunk(hi - lo)
-				done := 0
-				for i := lo; i < hi; i++ {
-					if stopped.Load() || int64(i) > quitAt.Load() {
-						m.IterExecutedN(vpn, done)
-						return
-					}
-					runIter(i, vpn)
-					done++
-				}
-				m.IterExecutedN(vpn, done)
-			}
-		default: // Dynamic
-			// Geometric chunking: per-worker claims double from 1 up to
-			// a cap that keeps at least ~8 chunks per worker available
-			// for balance.  Correctness is the Guided argument: the
-			// claim counter is monotone, chunks are processed in order
-			// with a per-iteration QUIT check, and no chunk is claimed
-			// once the counter passes the posted quit index.
-			maxChunk := int64(n / (8 * p))
-			if maxChunk > 64 {
-				maxChunk = 64
-			}
-			if maxChunk < 1 {
-				maxChunk = 1
-			}
-			chunk := int64(1)
-			for {
-				var lo, hi int
-				for {
-					cur := next.Load()
-					if stopped.Load() || cur >= int64(n) || cur > quitAt.Load() {
-						return
-					}
-					size := chunk
-					if rem := int64(n) - cur; size > rem {
-						size = rem
-					}
-					if next.CompareAndSwap(cur, cur+size) {
-						lo, hi = int(cur), int(cur+size)
-						break
-					}
-				}
-				m.IterIssued(hi - lo)
-				m.DynamicChunk(hi - lo)
-				if chunk < maxChunk {
-					chunk *= 2
-					if chunk > maxChunk {
-						chunk = maxChunk
-					}
-				}
-				done := 0
-				for i := lo; i < hi; i++ {
-					if stopped.Load() || int64(i) > quitAt.Load() {
-						m.IterExecutedN(vpn, done)
-						return
-					}
-					runIter(i, vpn)
-					done++
-				}
-				m.IterExecutedN(vpn, done)
-			}
-		}
 	}
 
 	if opts.Pool != nil {
@@ -440,12 +254,12 @@ func DOALLCtx(ctx context.Context, n int, opts Options, body func(i, vpn int) Co
 		m.PoolDispatch(p)
 		if err := opts.Pool.Run(func(vpn int) {
 			if vpn < p {
-				worker(vpn)
+				d.worker(vpn)
 			}
 		}); err != nil {
-			// Backstop for panics escaping the per-iteration recover
-			// (i.e. in the scheduling code itself, not a body).
-			if pe, ok := cancel.AsPanic(err); ok && panicAt.CompareAndSwap(nil, pe) {
+			// Backstop for panics escaping the per-chunk recover (i.e.
+			// in the scheduling code itself, not a body).
+			if pe, ok := cancel.AsPanic(err); ok && d.panicAt.CompareAndSwap(nil, pe) {
 				m.WorkerPanic()
 			}
 		}
@@ -455,42 +269,15 @@ func DOALLCtx(ctx context.Context, n int, opts Options, body func(i, vpn int) Co
 		for k := 0; k < p; k++ {
 			go func(vpn int) {
 				defer wg.Done()
-				worker(vpn)
+				d.worker(vpn)
 			}(k)
 		}
 		wg.Wait()
 	}
 
-	// Exact accounting against the final quit index; prefix is the first
-	// hole (an unexecuted index), which only cancellation or a panic can
-	// open below the quit index.
-	q := int(quitAt.Load())
-	executed, overshot, prefix := 0, 0, -1
-	for i, r := range ran {
-		if r {
-			executed++
-			if i >= q {
-				overshot++
-			}
-		} else if prefix < 0 {
-			prefix = i
-		}
-	}
-	if prefix < 0 {
-		prefix = n
-	}
-	if q < prefix {
-		prefix = q
-	}
-	m.OvershotAdd(overshot)
-
-	res := Result{
-		Executed:  executed,
-		QuitIndex: q,
-		Overshot:  overshot,
-		Prefix:    prefix,
-	}
-	if pe := panicAt.Load(); pe != nil {
+	res := d.account()
+	m.OvershotAdd(res.Overshot)
+	if pe := d.panicAt.Load(); pe != nil {
 		return res, pe
 	}
 	if err := cancel.Err(ctx); err != nil {
@@ -498,6 +285,257 @@ func DOALLCtx(ctx context.Context, n int, opts Options, body func(i, vpn int) Co
 		return res, err
 	}
 	return res, nil
+}
+
+// runChunk executes iterations lo, lo+stride, ... below hi in order on
+// worker vpn and adds them to its tally.  It stops early — recording the
+// unexecuted tail as the worker's hole and returning false — once the
+// execution is stopped, a QUIT below the next index has been posted, or
+// the body panics (the panic is contained here, once per chunk, and the
+// panicking iteration counts as not executed).
+func (d *doall) runChunk(lo, hi, stride, vpn int) (whole bool) {
+	t := &d.tallies[vpn]
+	i, done := lo, 0
+	defer func() {
+		if r := recover(); r != nil {
+			pe := &cancel.PanicError{Iter: i, VPN: vpn, Value: r, Stack: debug.Stack()}
+			if d.panicAt.CompareAndSwap(nil, pe) {
+				d.m.WorkerPanic()
+			}
+			d.stopped.Store(true)
+		}
+		t.executed += done
+		d.m.IterExecutedN(vpn, done)
+		if !whole {
+			t.hole.lo, t.hole.hi, t.hole.stride = lo+done*stride, hi, stride
+		}
+	}()
+	for ; i < hi; i += stride {
+		if d.stopped.Load() || int64(i) > d.quitAt.Load() {
+			return false
+		}
+		ts := obs.Start(d.tr)
+		c := d.body(i, vpn)
+		done++
+		if d.tr != nil {
+			obs.Span(d.tr, ts, "iter", "doall", vpn, map[string]any{"i": i})
+		}
+		if c == Quit {
+			// CAS-min on quitAt.
+			for {
+				cur := d.quitAt.Load()
+				if int64(i) >= cur || d.quitAt.CompareAndSwap(cur, int64(i)) {
+					break
+				}
+			}
+			d.m.QuitPosted()
+			if d.tr != nil {
+				obs.Instant(d.tr, "QUIT", "doall", vpn, map[string]any{"i": i})
+			}
+		}
+	}
+	return true
+}
+
+// geometric is the chunk-size sequence Dynamic and Stealing claim with:
+// per-worker claims double from 1 up to a cap that keeps at least ~8
+// chunks per worker available for balance.
+type geometric struct{ size, max int64 }
+
+func newGeometric(n, p int) geometric {
+	max := int64(n / (8 * p))
+	if max > 64 {
+		max = 64
+	}
+	if max < 1 {
+		max = 1
+	}
+	return geometric{size: 1, max: max}
+}
+
+func (g *geometric) grow() {
+	if g.size < g.max {
+		g.size *= 2
+		if g.size > g.max {
+			g.size = g.max
+		}
+	}
+}
+
+// worker is one virtual processor's activation: claim chunks under the
+// execution's schedule and run them until the space is exhausted, a
+// QUIT at an index below the next chunk has been posted, or the
+// execution is stopped — claiming further chunks could only produce
+// dead work.
+func (d *doall) worker(vpn int) {
+	n, p, m := int64(d.n), d.p, d.m
+	switch d.schedule {
+	case Stealing:
+		// Claims hit the home block's private cursor first; only after
+		// the home block is drained (or killed by a QUIT below it) does
+		// the worker scan the other blocks, round-robin from its own.
+		chunk := newGeometric(d.n, p)
+		for k := 0; k < p; k++ {
+			b := (vpn + k) % p
+			end := int64((b + 1) * d.blockSpan)
+			if end > n {
+				end = n
+			}
+			cur := &d.blocks[b].c
+			for {
+				c := cur.Load()
+				if d.stopped.Load() {
+					return
+				}
+				if c >= end || c > d.quitAt.Load() {
+					// Block exhausted, or its smallest unclaimed index
+					// is beyond a posted QUIT: every index still
+					// unclaimed here is dead work.  Cursors are
+					// monotone and quitAt only decreases, so a finished
+					// block never revives — one pass over all p blocks
+					// covers the whole space.
+					break
+				}
+				size := chunk.size
+				if rem := end - c; size > rem {
+					size = rem
+				}
+				if !cur.CompareAndSwap(c, c+size) {
+					continue
+				}
+				m.IterIssued(int(size))
+				if k == 0 {
+					m.DynamicChunk(int(size))
+				} else {
+					m.StealChunk(int(size))
+				}
+				chunk.grow()
+				d.runChunk(int(c), int(c+size), 1, vpn)
+			}
+		}
+	case Static:
+		// Processor k runs the iterations congruent to k modulo p, in
+		// order, as one strided chunk: once a smaller iteration has
+		// quit, the larger ones are not begun.
+		if vpn < d.n {
+			before := d.tallies[vpn].executed
+			whole := d.runChunk(vpn, d.n, p, vpn)
+			issued := d.tallies[vpn].executed - before
+			if !whole && !d.stopped.Load() {
+				issued++ // the iteration that found the QUIT below it
+			}
+			m.IterIssued(issued)
+		}
+	case Guided:
+		for {
+			// Claim a chunk of ceil(remaining/(2p)) iterations.
+			cur := d.next.Load()
+			if d.stopped.Load() || cur >= n || cur > d.quitAt.Load() {
+				return
+			}
+			size := (n - cur + int64(2*p) - 1) / int64(2*p)
+			if size < 1 {
+				size = 1
+			}
+			if !d.next.CompareAndSwap(cur, cur+size) {
+				continue
+			}
+			m.IterIssued(int(size))
+			m.GuidedChunk(int(size))
+			if !d.runChunk(int(cur), int(cur+size), 1, vpn) {
+				return
+			}
+		}
+	default: // Dynamic
+		// Correctness is the Guided argument: the claim counter is
+		// monotone, chunks are processed in order with a per-iteration
+		// QUIT check, and no chunk is claimed once the counter passes
+		// the posted quit index.
+		chunk := newGeometric(d.n, p)
+		for {
+			cur := d.next.Load()
+			if d.stopped.Load() || cur >= n || cur > d.quitAt.Load() {
+				return
+			}
+			size := chunk.size
+			if rem := n - cur; size > rem {
+				size = rem
+			}
+			if !d.next.CompareAndSwap(cur, cur+size) {
+				continue
+			}
+			m.IterIssued(int(size))
+			m.DynamicChunk(int(size))
+			chunk.grow()
+			if !d.runChunk(int(cur), int(cur+size), 1, vpn) {
+				return
+			}
+		}
+	}
+}
+
+// account computes the Result after the join, exactly, from O(p) state.
+// Every index is in one of three places: executed; in the tail of a
+// chunk its worker abandoned; or never claimed (at or beyond a claim
+// cursor).  A worker abandons a chunk either because of a QUIT below the
+// tail — the tail then lies wholly above the final quit index, since
+// quitAt only decreases — or because the execution was stopped, after
+// which it claims nothing more; so each worker's last abandoned tail is
+// the only one that can hold indices below the final quit index.  The
+// holes below it are therefore the last tails plus the unclaimed ranges,
+// both clipped to the quit index: what is below it and not a hole ran
+// exactly once, and the rest of what ran is overshoot.
+func (d *doall) account() Result {
+	q := int(d.quitAt.Load())
+	executed, firstHole, holesBelow := 0, d.n, 0
+	hole := func(lo, hi, stride int) {
+		if lo >= hi {
+			return
+		}
+		if lo < firstHole {
+			firstHole = lo
+		}
+		if hi > q {
+			hi = q
+		}
+		if lo < hi {
+			holesBelow += (hi - lo + stride - 1) / stride
+		}
+	}
+	for k := range d.tallies {
+		t := &d.tallies[k]
+		executed += t.executed
+		hole(t.hole.lo, t.hole.hi, t.hole.stride)
+	}
+	switch d.schedule {
+	case Stealing:
+		for b := range d.blocks {
+			end := (b + 1) * d.blockSpan
+			if end > d.n {
+				end = d.n
+			}
+			hole(int(d.blocks[b].c.Load()), end, 1)
+		}
+	case Static:
+		// No claim cursor: each worker's whole assignment is one chunk,
+		// so its tail is already in its tally.
+	default:
+		hole(int(d.next.Load()), d.n, 1)
+	}
+	below := q
+	if below > d.n {
+		below = d.n
+	}
+	prefix := below
+	if firstHole < prefix {
+		prefix = firstHole
+	}
+	return Result{
+		Executed:  executed,
+		QuitIndex: q,
+		Overshot:  executed - (below - holesBelow),
+		Prefix:    prefix,
+	}
 }
 
 // Dilemma with dynamic scheduling and QUIT: iterations strictly below the

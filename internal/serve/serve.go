@@ -263,39 +263,50 @@ func (s *Scheduler) dispatch() {
 		s.running++
 		s.mu.Unlock()
 
-		s.runJob(j)
+		out, ran := s.runJob(j)
 
+		// The job goes terminal and is accounted under one hold of
+		// s.mu, so whoever sees it done also sees the counters moved.
 		s.mu.Lock()
 		s.running--
+		if ran {
+			j.finish(out.state, out.rep, out.err, out.kind, s.now())
+		}
 		s.retireLocked(j)
 		s.mu.Unlock()
 	}
 }
 
-// runJob executes one job on the shared pool and moves it to a
-// terminal state.  Errors from the runtime keep their typed identity
+// outcome is the terminal state runJob decided for a job.
+type outcome struct {
+	state State
+	rep   *core.Report
+	err   error
+	kind  string
+}
+
+// runJob executes one job on the shared pool and returns the terminal
+// state the dispatcher must move it to (false: it already is terminal).
+// Errors from the runtime keep their typed identity
 // (cancel.ErrDeadline, cancel.ErrWorkerPanic, ...) in the job record.
-func (s *Scheduler) runJob(j *job) {
+func (s *Scheduler) runJob(j *job) (outcome, bool) {
 	now := s.now()
 
 	j.mu.Lock()
 	if j.state.Terminal() { // canceled while queued
 		j.mu.Unlock()
-		return
+		return outcome{}, false
 	}
 	if j.canceled {
 		j.mu.Unlock()
-		j.finish(Canceled, nil, cancel.ErrCanceled, "canceled", now)
-		return
+		return outcome{state: Canceled, err: cancel.ErrCanceled, kind: "canceled"}, true
 	}
 	// The deadline is absolute from submission, so a job that aged out
 	// in the queue fails without touching the pool.
 	if !j.deadline.IsZero() && !now.Before(j.deadline) {
 		j.mu.Unlock()
-		j.finish(Failed, nil,
-			fmt.Errorf("%w: deadline expired after %v in queue", cancel.ErrDeadline, now.Sub(j.submitted)),
-			"deadline", now)
-		return
+		return outcome{state: Failed, kind: "deadline",
+			err: fmt.Errorf("%w: deadline expired after %v in queue", cancel.ErrDeadline, now.Sub(j.submitted))}, true
 	}
 	ctx := context.Background()
 	var cancelFn context.CancelFunc
@@ -351,11 +362,7 @@ func (s *Scheduler) runJob(j *job) {
 	default:
 		state, kind = Failed, "program"
 	}
-	s.jobDone(j, state, &rep, err, kind)
-}
-
-func (s *Scheduler) jobDone(j *job, state State, rep *core.Report, err error, kind string) {
-	j.finish(state, rep, err, kind, s.now())
+	return outcome{state: state, rep: &rep, err: err, kind: kind}, true
 }
 
 // retireLocked accounts a terminal job and evicts beyond RetainDone.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"whilepar/internal/arena"
 	"whilepar/internal/cancel"
 	"whilepar/internal/mem"
 	"whilepar/internal/obs"
@@ -20,10 +21,22 @@ type pipeGen struct {
 	ts      *tsmem.Memory
 	tests   []*pdtest.Test
 	tracker mem.Tracker
+
+	// pend is the union of write-sets applied to the arrays since this
+	// generation's checkpoint last mirrored them — what its next
+	// prepare must refresh — and means something only while tracked
+	// (untracked: the next prepare copies everything).  A generation
+	// sits out one strip while the other executes, so pend accumulates
+	// (at most) two strips' writes.  arming is the list the latest
+	// prepare is reading; the two buffers swap roles each time the
+	// generation is armed, so neither is rebuilt per strip.
+	pend, arming [][]int
+	tracked      bool
 }
 
 func newPipeGen(spec Spec, procs int) *pipeGen {
-	g := &pipeGen{ts: spec.newMemory(procs)}
+	g := &pipeGen{ts: spec.newMemory(procs),
+		pend: make([][]int, len(spec.Shared)), arming: make([][]int, len(spec.Shared))}
 	g.ts.SetObs(spec.Metrics, spec.Tracer)
 	for _, a := range spec.Tested {
 		t := pdtest.New(a, procs)
@@ -40,32 +53,51 @@ func (g *pipeGen) release() {
 	for _, t := range g.tests {
 		t.Release()
 	}
+	for i := range g.pend {
+		arena.PutInts(g.pend[i])
+		arena.PutInts(g.arming[i])
+	}
+}
+
+// arm closes the generation's pending list and opens an empty one for
+// the writes from here on.  It returns what prepare must refresh — nil
+// for everything — which stays valid until the generation is armed
+// again; the caller arms a generation only when no strip of it is in
+// flight.
+func (g *pipeGen) arm() [][]int {
+	var refresh [][]int
+	if g.tracked {
+		refresh = g.pend
+	}
+	g.pend, g.arming = g.arming, g.pend
+	for i := range g.pend {
+		g.pend[i] = g.pend[i][:0]
+	}
+	g.tracked = true
+	return refresh
 }
 
 // prepare re-arms the generation for a new strip: checkpoint the
 // current array state (the rollback target if the strip is squashed or
-// fails) and epoch-reset the stamps and shadow marks.  pending is the
-// union of write-sets applied to the arrays since this generation's
-// checkpoint last mirrored them — Rearm refreshes just those locations
-// — or nil to force a full copy.
-func (g *pipeGen) prepare(pending [][]int) {
-	g.ts.Rearm(pending)
+// fails) and epoch-reset the stamps and shadow marks.  refresh is arm's
+// result: Rearm refreshes just those locations, or copies everything
+// when it is nil.
+func (g *pipeGen) prepare(refresh [][]int) {
+	g.ts.Rearm(refresh)
 	for _, t := range g.tests {
 		t.Reset()
 	}
 }
 
-// appendWS accumulates a strip's write-set into a generation's pending
-// list.  A nil destination means the generation has no valid baseline
-// to extend (its next prepare full-checkpoints anyway), so it stays nil.
-func appendWS(dst, ws [][]int) [][]int {
-	if dst == nil {
-		return nil
+// wrote accumulates a strip's write-set into the generation's pending
+// list; an untracked generation has no baseline to extend.
+func (g *pipeGen) wrote(ws [][]int) {
+	if !g.tracked {
+		return
 	}
 	for i := range ws {
-		dst[i] = append(dst[i], ws[i]...)
+		g.pend[i] = arena.AppendInts(g.pend[i], ws[i])
 	}
-	return dst
 }
 
 // analyze runs the PD test for a strip validated through firstValid
@@ -176,13 +208,6 @@ func runStrippedPipelinedFrom(ctx context.Context, spec Spec, start, total, stri
 	defer a.release()
 	defer b.release()
 
-	// pendA/pendB track, per generation, the union of write-sets applied
-	// to the arrays since that generation's checkpoint last mirrored
-	// them — what its next prepare must refresh.  nil forces a full
-	// copy.  A generation sits out one strip while the other executes,
-	// so its pending list accumulates (at most) two strips' writes.
-	var pendA, pendB [][]int
-
 	clamp := func(x int) int {
 		if x > total {
 			return total
@@ -204,8 +229,7 @@ func runStrippedPipelinedFrom(ctx context.Context, spec Spec, start, total, stri
 	}
 
 	// Prime the pipeline: the first strip has nothing to overlap.
-	a.prepare(nil)
-	pendA = make([][]int, len(spec.Shared))
+	a.prepare(a.arm())
 	valid, done, err := par(a.tracker, lo, clamp(lo+strip))
 
 	for lo < total {
@@ -237,8 +261,8 @@ func runStrippedPipelinedFrom(ctx context.Context, spec Spec, start, total, stri
 		// Strip k's writes are now in the arrays: both generations'
 		// checkpoints are stale at exactly those locations.
 		wsK := a.ts.WriteSet()
-		pendA = appendWS(pendA, wsK)
-		pendB = appendWS(pendB, wsK)
+		a.wrote(wsK)
+		b.wrote(wsK)
 
 		// Launch strip k+1 before validating strip k.  Generation B's
 		// checkpoint (re)arms inside the goroutine: it reads the post-k
@@ -249,15 +273,14 @@ func runStrippedPipelinedFrom(ctx context.Context, spec Spec, start, total, stri
 			next = make(chan pipeResult, 1)
 			mx.PipelineOverlap()
 			rep.Overlapped++
-			go func(g *pipeGen, lo2, hi2 int, pend [][]int) {
-				g.prepare(pend)
+			// B is armed against the post-k state as of this launch;
+			// writes from here on accumulate into its other list (the
+			// goroutine owns this one).
+			go func(g *pipeGen, lo2, hi2 int, refresh [][]int) {
+				g.prepare(refresh)
 				v, d, e := par(g.tracker, lo2, hi2)
 				next <- pipeResult{v, d, e}
-			}(b, hi, clamp(hi+strip), pendB)
-			// B is armed against the post-k state as of this launch;
-			// writes from here on accumulate into a fresh list (the
-			// goroutine owns the old one).
-			pendB = make([][]int, len(spec.Shared))
+			}(b, hi, clamp(hi+strip), b.arm())
 		}
 
 		ok := err == nil && valid >= 0 && valid <= hi-lo
@@ -291,7 +314,6 @@ func runStrippedPipelinedFrom(ctx context.Context, spec Spec, start, total, stri
 					return rep, err
 				}
 				a, b = b, a
-				pendA, pendB = pendB, pendA
 			}
 			continue
 		}
@@ -361,13 +383,12 @@ func runStrippedPipelinedFrom(ctx context.Context, spec Spec, start, total, stri
 		// trusted for an incremental re-arm.
 		a.ts.InvalidateCheckpoint()
 		b.ts.InvalidateCheckpoint()
-		pendA, pendB = nil, nil
+		a.tracked, b.tracked = false, false
 
 		// Restart the pipeline at the next strip.
 		lo = hi
 		if lo < total {
-			a.prepare(nil)
-			pendA = make([][]int, len(spec.Shared))
+			a.prepare(a.arm())
 			valid, done, err = par(a.tracker, lo, clamp(lo+strip))
 		}
 	}

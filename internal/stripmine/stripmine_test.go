@@ -80,7 +80,7 @@ func TestStripMinedSpeculationMatchesSequential(t *testing.T) {
 	}
 
 	valid, err := Run(n, strip, func(lo, hi int) StripResult {
-		ts := tsmem.New(parA) // fresh stamps per strip: bounded memory
+		ts := tsmem.NewSharded(4, parA) // fresh stamps per strip: bounded memory
 		ts.Checkpoint()
 		tr := ts.Tracker()
 		res := sched.DOALL(hi-lo, sched.Options{Procs: 4}, func(j, vpn int) sched.Control {

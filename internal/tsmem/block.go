@@ -93,31 +93,66 @@ const recJournaled = 1 << 0
 // numBlocks returns how many journaling blocks cover n elements.
 func numBlocks(n int) int { return (n + blockMask) >> blockShift }
 
-// Pools for the packed layout's buffers.  Records and block tags must
-// come back zeroed (a recycled epoch tag could equal a fresh Memory's
-// live epoch and read as a current stamp); bitmaps and union scratch
-// hide behind those tags, so their stale content is fine.
+// Pools for the packed layout's merge scratch; stale content is fine
+// (the union bitmaps are rebuilt per merge for exactly the blocks read).
 var (
-	recPool    = arena.NewSlicePool[rec]()
 	uint64Pool = arena.NewSlicePool[uint64]()
 	int32Pool  = arena.NewSlicePool[int32]()
 )
 
+// shard is one worker's slice of the packed layout for one array: the
+// records, the block tags and bitmaps, and the block journal.  It is
+// pooled whole, with the last epoch it was used under, so a Memory that
+// takes it starts one epoch later and clears nothing — every record and
+// block tag it still holds is stale by construction.
+type shard struct {
+	recs    []rec
+	blkTag  []uint32
+	blkBits []uint64
+	blocks  []int32
+	// epoch: no tag anywhere in recs' or blkTag's capacity exceeds it.
+	epoch uint32
+}
+
+var shardPool arena.Pool[shard]
+
+// newShard returns a shard with capacity for n elements: a pooled one,
+// or a fresh one whose zeroed tags are stale under every epoch.
+func newShard(n int) *shard {
+	if sh := shardPool.Get(n); sh != nil {
+		return sh
+	}
+	c := arena.ClassCap(n)
+	nb := numBlocks(c)
+	return &shard{recs: make([]rec, c), blkTag: make([]uint32, nb), blkBits: make([]uint64, nb),
+		blocks: make([]int32, 0, 64)}
+}
+
+// release pools the shard, last used under epoch, keeping the capacity
+// its block journal grew to.
+func (sh *shard) release(epoch uint32, journal []int32) {
+	sh.epoch, sh.blocks = epoch, journal[:0]
+	shardPool.Put(cap(sh.recs), sh)
+}
+
+// blockJournaled reports whether any of the shards whose block tags are
+// bts journaled block b in the current epoch.
+func (m *Memory) blockJournaled(bts [][]uint32, b int) bool {
+	for _, bt := range bts {
+		if bt[b] == m.epoch {
+			return true
+		}
+	}
+	return false
+}
+
 // mergePacked is mergeStamps for the packed layout: deduplicate the
-// per-shard block journals into touchedBlk, OR the per-shard bitmaps
-// into unionBits, then min-merge the shards' records over exactly the
-// set bits.  Cost is O(journaled blocks x procs + touched elements x
+// per-shard block journals into touchedBlk (against the shards' own
+// block tags — no separate seen-set), OR the per-shard bitmaps into
+// unionBits, then min-merge the shards' records over exactly the set
+// bits.  Cost is O(journaled blocks x procs + touched elements x
 // writers), independent of array length.
 func (m *Memory) mergePacked() {
-	m.mgGen++
-	if m.mgGen == 0 {
-		for _, sn := range m.mgBlkSeen {
-			for i := range sn {
-				sn[i] = 0
-			}
-		}
-		m.mgGen = 1
-	}
 	stamped := 0
 	for _, a := range m.arrays {
 		rss := m.recs[a]
@@ -129,21 +164,25 @@ func (m *Memory) mergePacked() {
 			mg = arena.Int64s(n)
 			m.merged[a] = mg
 		}
-		bs := m.mgBlkSeen[a]
 		ub := m.unionBits[a]
 		blist := m.touchedBlk[a][:0]
 		for k := 0; k < m.procs; k++ {
-			bb := m.blkBits[a][k]
 			for _, b := range m.blocks[a][k] {
 				// Journals are truncated at every reset, so each entry
 				// is current-epoch by construction and its bitmap live.
-				if bs[b] != m.mgGen {
-					bs[b] = m.mgGen
-					ub[b] = bb[b]
-					blist = append(blist, b)
-				} else {
-					ub[b] |= bb[b]
+				// A block several shards journaled is listed once, by
+				// the lowest of them, with the union of their bitmaps.
+				if m.blockJournaled(bts[:k], int(b)) {
+					continue
 				}
+				u := m.blkBits[a][k][b]
+				for j := k + 1; j < m.procs; j++ {
+					if bts[j][b] == m.epoch {
+						u |= m.blkBits[a][j][b]
+					}
+				}
+				ub[b] = u
+				blist = append(blist, b)
 			}
 		}
 		m.touchedBlk[a] = blist
@@ -248,13 +287,21 @@ func (m *Memory) packedMinStampFrom(from int64) int64 {
 	return min
 }
 
-// packedWriteSet expands the touched-block bitmaps of one array into a
-// deduplicated element-index list (WriteSet's per-array shape).
-func (m *Memory) packedWriteSet(a *mem.Array) []int {
+// packedWriteSetLen counts the locations appendPackedWriteSet yields.
+func (m *Memory) packedWriteSetLen(a *mem.Array) int {
+	n := 0
+	for _, b := range m.touchedBlk[a] {
+		n += bits.OnesCount64(m.unionBits[a][b])
+	}
+	return n
+}
+
+// appendPackedWriteSet expands the touched-block bitmaps of one array
+// into a deduplicated element-index list appended to out (WriteSet's
+// per-array shape).
+func (m *Memory) appendPackedWriteSet(out []int, a *mem.Array) []int {
 	ub := m.unionBits[a]
-	blist := m.touchedBlk[a]
-	out := make([]int, 0, len(blist)*8)
-	for _, b := range blist {
+	for _, b := range m.touchedBlk[a] {
 		base := int(b) << blockShift
 		w := ub[b]
 		for w != 0 {

@@ -39,7 +39,10 @@
 //     strip dirtied are refreshed — O(writes) per strip.
 //   - Buffers come from a shared sync.Pool arena (internal/arena) and
 //     go back via Release, so repeated engine invocations recycle their
-//     checkpoint/stamp/tag memory instead of reallocating it.
+//     checkpoint/stamp/tag memory instead of reallocating it.  A packed
+//     shard goes back whole, together with the last epoch it was used
+//     under (block.go), so the next Memory starts one epoch later and
+//     clears nothing.
 //
 // Checkpoint, RestoreAll and the undo scan are parallelized across the
 // same worker count, so the Tb/Ta overheads of the cost model shrink
@@ -135,16 +138,17 @@ type Memory struct {
 	// block.go).  recs[a][k][i] fuses stamp + epoch tag + flags into
 	// one 16-byte record; blkTag/blkBits[a][k][b] are the epoch tag and
 	// dirty bitmap of 64-element block b in shard k; blocks[a][k]
-	// journals each block id once per epoch.  unionBits/mgBlkSeen/
-	// touchedBlk are the merge's block-granular results and scratch,
-	// playing the role touchedIdx/mgSeen play for the element layout.
+	// journals each block id once per epoch.  unionBits/touchedBlk are
+	// the merge's block-granular results, playing the role touchedIdx
+	// plays for the element layout.  The slices are views into pooled
+	// shards (shards[a][k], see block.go), which Release hands back.
 	// Exactly one of {recs..., stamps...} is populated per Memory.
 	recs       map[*mem.Array][][]rec
 	blkTag     map[*mem.Array][][]uint32
 	blkBits    map[*mem.Array][][]uint64
 	blocks     map[*mem.Array][][]int32
+	shards     map[*mem.Array][]*shard
 	unionBits  map[*mem.Array][]uint64
-	mgBlkSeen  map[*mem.Array][]uint32
 	touchedBlk map[*mem.Array][]int32
 	// packed selects the block layout's code paths (JournalBlock and
 	// not explicit).
@@ -156,8 +160,10 @@ type Memory struct {
 	// cost in membench before this cache).  The slice headers alias the
 	// map entries, so journal appends through either stay coherent.
 	views []shardView
-	// epoch is the current stamp generation.  It starts at 1 so the
-	// zeroed tags of a fresh allocation are already stale.
+	// epoch is the current stamp generation: above the last epoch of
+	// every pooled shard the Memory took, so whatever they hold is
+	// stale, and never zero, so a fresh allocation's zeroed tags are
+	// too.
 	epoch uint32
 	// explicit disables epoch tagging: resets eagerly refill every
 	// shard with NoStamp and the epoch never moves.  Kept as the
@@ -177,11 +183,15 @@ type Memory struct {
 	// touchedIdx[a] is the deduplicated union of the dirty journals as
 	// of the last merge: the exact location set Undo/PartialCommit/
 	// MinStampFrom must visit.  mgSeen/mgGen are its generation-tagged
-	// dedup scratch (also the "is merged[a][i] meaningful" gate).
+	// dedup scratch (also the "is merged[a][i] meaningful" gate) in the
+	// element layout.
 	touchedIdx map[*mem.Array][]int
 	mgSeen     map[*mem.Array][]uint32
 	mgGen      uint32
 	stamped    int // distinct stamped locations, counted at merge
+	// writeSet holds WriteSet's result, one buffer per array reused
+	// from strip to strip.
+	writeSet [][]int
 	// cpValid reports that the held checkpoint still mirrors the array
 	// state as of the last stamp reset at every location outside the
 	// current journals — the invariant Rearm's incremental refresh
@@ -285,33 +295,36 @@ func newSharded(procs int, explicit bool, journal Journal, arrays ...*mem.Array)
 		m.blkTag = make(map[*mem.Array][][]uint32, len(arrays))
 		m.blkBits = make(map[*mem.Array][][]uint64, len(arrays))
 		m.blocks = make(map[*mem.Array][][]int32, len(arrays))
+		m.shards = make(map[*mem.Array][]*shard, len(arrays))
 		m.unionBits = make(map[*mem.Array][]uint64, len(arrays))
-		m.mgBlkSeen = make(map[*mem.Array][]uint32, len(arrays))
 		m.touchedBlk = make(map[*mem.Array][]int32, len(arrays))
 		for _, a := range arrays {
 			m.arrays = append(m.arrays, a)
 			nb := numBlocks(a.Len())
+			shs := make([]*shard, procs)
 			rss := make([][]rec, procs)
 			bts := make([][]uint32, procs)
 			bbs := make([][]uint64, procs)
 			bjs := make([][]int32, procs)
-			for k := range rss {
-				// Records and block tags must start all-stale: a
-				// recycled epoch tag equal to this Memory's first live
-				// epoch would read as a current stamp.  Bitmaps hide
-				// behind the block tags, so stale content is fine.
-				rss[k] = recPool.GetZeroed(a.Len())
-				bts[k] = arena.Uint32sZeroed(nb)
-				bbs[k] = uint64Pool.Get(nb)
-				bjs[k] = int32Pool.GetCap(64)
+			for k := range shs {
+				// A pooled shard's records and block tags are stale
+				// under every epoch above the one it carries; bitmaps
+				// hide behind the block tags, so their content is
+				// immaterial.
+				sh := newShard(a.Len())
+				if sh.epoch > m.epoch {
+					m.epoch = sh.epoch
+				}
+				shs[k] = sh
+				rss[k], bts[k], bbs[k], bjs[k] = sh.recs[:a.Len()], sh.blkTag[:nb], sh.blkBits[:nb], sh.blocks[:0]
 			}
+			m.shards[a] = shs
 			m.recs[a] = rss
 			m.blkTag[a] = bts
 			m.blkBits[a] = bbs
 			m.blocks[a] = bjs
 			m.views = append(m.views, shardView{a: a, recs: rss, blkTag: bts, blkBits: bbs, blocks: bjs})
 			m.unionBits[a] = uint64Pool.Get(nb)
-			m.mgBlkSeen[a] = arena.Uint32sZeroed(nb)
 			m.touchedBlk[a] = int32Pool.GetCap(64)
 		}
 		m.resetStamps()
@@ -373,20 +386,10 @@ func (m *Memory) Release() {
 		for _, d := range m.dirty[a] {
 			arena.PutInts(d)
 		}
-		for _, rs := range m.recs[a] {
-			recPool.Put(rs)
-		}
-		for _, bt := range m.blkTag[a] {
-			arena.PutUint32s(bt)
-		}
-		for _, bb := range m.blkBits[a] {
-			uint64Pool.Put(bb)
-		}
-		for _, bj := range m.blocks[a] {
-			int32Pool.Put(bj)
+		for k, sh := range m.shards[a] {
+			sh.release(m.epoch, m.blocks[a][k])
 		}
 		uint64Pool.Put(m.unionBits[a])
-		arena.PutUint32s(m.mgBlkSeen[a])
 		int32Pool.Put(m.touchedBlk[a])
 		arena.PutInt64s(m.merged[a])
 		arena.PutUint32s(m.mgSeen[a])
@@ -395,9 +398,12 @@ func (m *Memory) Release() {
 	for _, cp := range m.checkpoints {
 		arena.PutFloat64s(cp.Data)
 	}
+	for _, ws := range m.writeSet {
+		arena.PutInts(ws)
+	}
 	m.stamps, m.epochs, m.dirty, m.merged, m.mgSeen, m.touchedIdx = nil, nil, nil, nil, nil, nil
-	m.recs, m.blkTag, m.blkBits, m.blocks = nil, nil, nil, nil
-	m.unionBits, m.mgBlkSeen, m.touchedBlk = nil, nil, nil
+	m.recs, m.blkTag, m.blkBits, m.blocks, m.shards = nil, nil, nil, nil, nil
+	m.unionBits, m.touchedBlk, m.writeSet = nil, nil, nil
 	m.checkpoints, m.arrays, m.views = nil, nil, nil
 	m.cpValid = false
 }
@@ -433,21 +439,19 @@ func (m *Memory) resetStamps() {
 					})
 				}
 			}
-			for _, rss := range m.recs {
-				for _, rs := range rss {
-					parallelDo(m.procs, len(rs), func(lo, hi int) {
-						rs := rs[lo:hi]
+			// The packed shards are pooled with their capacity, so the
+			// sweep covers it all: a later, longer user of a shard must
+			// not find pre-wrap tags beyond this array's end.
+			for _, shs := range m.shards {
+				for _, sh := range shs {
+					recs := sh.recs[:cap(sh.recs)]
+					parallelDo(m.procs, len(recs), func(lo, hi int) {
+						rs := recs[lo:hi]
 						for i := range rs {
 							rs[i].epoch = 0
 						}
 					})
-				}
-			}
-			for _, bts := range m.blkTag {
-				for _, bt := range bts {
-					for i := range bt {
-						bt[i] = 0
-					}
+					clear(sh.blkTag[:cap(sh.blkTag)])
 				}
 			}
 			m.epoch = 1
@@ -517,21 +521,37 @@ func (m *Memory) Checkpoint() {
 // WriteSet returns, per tracked array in registration order, the
 // deduplicated locations written through the Tracker since the last
 // stamp reset.  Call it after the parallel section (it merges the
-// shards) and before the next reset; the returned slices are the
-// caller's to keep.  Together with Rearm it closes the incremental
-// checkpoint loop: the write-set of strip k is exactly what the next
-// strip's checkpoint must refresh.
+// shards) and before the next reset.  The returned slices are the
+// Memory's, rebuilt in place by the next WriteSet: a caller that needs
+// a write-set beyond that copies it.  Together with Rearm it closes the
+// incremental checkpoint loop: the write-set of strip k is exactly what
+// the next strip's checkpoint must refresh.
 func (m *Memory) WriteSet() [][]int {
 	m.mergeStamps()
-	out := make([][]int, len(m.arrays))
-	for ai, a := range m.arrays {
-		if m.packed {
-			out[ai] = m.packedWriteSet(a)
-		} else {
-			out[ai] = append([]int(nil), m.touchedIdx[a]...)
-		}
+	if m.writeSet == nil {
+		m.writeSet = make([][]int, len(m.arrays))
 	}
-	return out
+	for ai, a := range m.arrays {
+		// Grow through the arena, to the exact size: a buffer that
+		// append had grown would go back to a size class the next
+		// run's first (shorter) strip never asks for.
+		need := len(m.touchedIdx[a])
+		if m.packed {
+			need = m.packedWriteSetLen(a)
+		}
+		ws := m.writeSet[ai]
+		if cap(ws) < need {
+			arena.PutInts(ws)
+			ws = arena.Ints(need)
+		}
+		if m.packed {
+			ws = m.appendPackedWriteSet(ws[:0], a)
+		} else {
+			ws = append(ws[:0], m.touchedIdx[a]...)
+		}
+		m.writeSet[ai] = ws
+	}
+	return m.writeSet
 }
 
 // Rearm re-arms the Memory for the next strip: where Checkpoint copies
@@ -1029,8 +1049,8 @@ func (m *Memory) Stamp(a *mem.Array, idx int) int64 {
 			return NoStamp
 		}
 		m.mergeStamps()
-		b := idx >> blockShift
-		if m.mgBlkSeen[a][b] != m.mgGen || m.unionBits[a][b]&(1<<(uint(idx)&blockMask)) == 0 {
+		b, bit := idx>>blockShift, uint64(1)<<(uint(idx)&blockMask)
+		if !m.blockJournaled(m.blkTag[a], b) || m.unionBits[a][b]&bit == 0 {
 			// Block never journaled, or this element's bit unset:
 			// unwritten since the last reset.
 			return NoStamp

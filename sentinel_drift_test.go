@@ -146,3 +146,48 @@ func TestFacadeSentinelsAliasRealDeclarations(t *testing.T) {
 		}
 	}
 }
+
+// typeDoc parses file and returns the doc comment of the named type.
+func typeDoc(t *testing.T, file, name string) string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.TYPE {
+			continue
+		}
+		for _, s := range gd.Specs {
+			if ts := s.(*ast.TypeSpec); ts.Name.Name == name {
+				if ts.Doc != nil {
+					return ts.Doc.Text()
+				}
+				return gd.Doc.Text()
+			}
+		}
+	}
+	t.Fatalf("%s declares no type %s", file, name)
+	return ""
+}
+
+// The *Iter a body receives is its worker's slot, re-armed for that
+// worker's next iteration: a body that retains it across calls reads
+// another iteration's index and tracker.  The contract lives in the doc
+// comments of the body types (the facade's Iter and ListBody alias
+// them), and this pins it there.
+func TestBodyDocsStateTheIterLifetime(t *testing.T) {
+	for _, c := range []struct{ file, typ string }{
+		{"internal/loopir/loop.go", "Body"},
+		{"internal/loopir/loop.go", "Iter"},
+		{"internal/genrec/genrec.go", "Body"},
+	} {
+		doc := strings.Join(strings.Fields(typeDoc(t, c.file, c.typ)), " ")
+		for _, want := range []string{"valid only for the duration of the", "must not be retained"} {
+			if !strings.Contains(doc, want) {
+				t.Errorf("%s: the doc comment of %s does not say the *Iter %q", c.file, c.typ, want)
+			}
+		}
+	}
+}

@@ -135,3 +135,77 @@ func TestWorkersPoolNotClosedByRun(t *testing.T) {
 		}
 	}
 }
+
+// Concurrent runs also share the recycled speculation state: PD shadows
+// and stamp shards go back to process-wide pools together with the last
+// epoch they were used under, and the next run — whichever it is —
+// takes them without clearing them.  No run may ever see another's
+// marks: of 64 concurrent callers, the ones running a dependence-free
+// loop must pass their PD test and keep the parallel result, the ones
+// running a loop with a planted flow dependence must have it caught at
+// the planted iteration, and every one must end with exactly the
+// sequential loop's array, round after round.
+func TestConcurrentRunsShareRecycledShadows(t *testing.T) {
+	const callers, rounds = 64, 6
+	strategies := []Strategy{Auto, StrategySpeculate, StrategyRecover, StrategyPipeline}
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			// Lengths in a handful of size classes, so that callers of
+			// different lengths trade buffers.
+			n := 300 + 97*(c%7)
+			dep := -1 // the iteration that also reads its predecessor's element
+			if c%2 == 1 {
+				dep = n / 2
+			}
+			a, want := NewArray("A", n), NewArray("A", n)
+			l := func(a *Array) *IntLoop {
+				return &IntLoop{
+					Class: Class{Dispatcher: MonotonicInduction, Terminator: RV},
+					Disp:  IntInduction{C: 1},
+					Body: func(it *Iter, d int) bool {
+						v := it.Load(a, d)
+						if d == dep {
+							v += it.Load(a, d-1)
+						}
+						it.Store(a, d, 2*v+float64(c))
+						return true
+					},
+					Max: n,
+				}
+			}
+			for round := 0; round < rounds; round++ {
+				for i := range a.Data {
+					a.Data[i], want.Data[i] = float64(i%13), float64(i%13)
+				}
+				LastValidInt(l(want))
+				opt := Options{Procs: 2 + c%3, Strategy: strategies[(c/2)%len(strategies)], Validation: ValidationFull,
+					Shared: []*Array{a}, Tested: []*Array{a}, Profiles: NewProfileStore(), Key: "recycled"}
+				rep, err := Run(l(a), opt)
+				if err != nil || rep.Valid != n {
+					t.Errorf("caller %d round %d (%v): valid = %d, err = %v", c, round, opt.Strategy, rep.Valid, err)
+					return
+				}
+				if !a.Equal(want) {
+					t.Errorf("caller %d round %d (%v): array differs from the sequential loop's", c, round, opt.Strategy)
+					return
+				}
+				if opt.Strategy != StrategySpeculate {
+					continue // the strip engines report no per-array verdicts
+				}
+				if len(rep.PD) != 1 {
+					t.Errorf("caller %d round %d: %d PD verdicts, want 1", c, round, len(rep.PD))
+					return
+				}
+				if pd := rep.PD[0]; dep < 0 && (!pd.DOALL || !rep.UsedParallel) {
+					t.Errorf("caller %d round %d: dependence-free loop judged %+v (used parallel: %v)", c, round, pd, rep.UsedParallel)
+				} else if dep >= 0 && (pd.DOALL || pd.FirstViolation != dep-1) {
+					t.Errorf("caller %d round %d: dependence at %d judged %+v", c, round, dep, pd)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
