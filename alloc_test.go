@@ -30,6 +30,18 @@ const (
 // rvInt is A[i] = f(A[i]) with a remainder-variant exit at 7n/8: the
 // clean speculative loop (Shared + Tested).
 func rvInt(t *testing.T, n int, opt Options) func() {
+	return rvIntUnder(context.Background(), t, n, opt)
+}
+
+// rvIntCancellable is rvInt under a context that can be canceled (and
+// never is): the engines' stop-flag plumbing is armed.
+func rvIntCancellable(t *testing.T, n int, opt Options) func() {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	return rvIntUnder(ctx, t, n, opt)
+}
+
+func rvIntUnder(ctx context.Context, t *testing.T, n int, opt Options) func() {
 	a := NewArray("A", n)
 	exit := n * 7 / 8
 	l := &IntLoop{
@@ -51,7 +63,7 @@ func rvInt(t *testing.T, n int, opt Options) func() {
 			a.Data[i] = 1
 		}
 		a.Data[exit] = -1
-		rep, err := Run(l, opt)
+		rep, err := RunContext(ctx, l, opt)
 		if err != nil || rep.Valid != exit {
 			t.Fatalf("valid = %d, err = %v; want %d", rep.Valid, err, exit)
 		}
@@ -150,14 +162,22 @@ func TestAllocationsDoNotGrowWithTripCount(t *testing.T) {
 		build func(t *testing.T, n int, opt Options) func()
 		opt   Options
 	}
+	// The package's TestMain switches the planner's clock off, so the
+	// auto rows reach the engines they are named for; the light-body row
+	// prices its store so that nothing pays, and runs probe + sequential.
 	auto := func(key string) Options { return Options{Procs: 2, Profiles: NewProfileStore(), Key: key} }
+	priced := auto("alloc-light")
+	priced.Profiles.SetTable(prohibitiveTable())
 	pinned := func(s Strategy) Options { return Options{Procs: 2, Strategy: s, Validation: ValidationFull} }
 	paths := []path{
 		{"sequential", rvInt, Options{Strategy: StrategySequential}},
+		{"sequential cancellable", rvIntCancellable, Options{Strategy: StrategySequential}},
 		{"speculate", rvInt, pinned(StrategySpeculate)},
 		{"recover", rvInt, pinned(StrategyRecover)},
 		{"pipeline", rvInt, pinned(StrategyPipeline)},
 		{"auto speculative", rvInt, auto("alloc-spec")},
+		{"auto light body", rvInt, priced},
+		{"auto light body cancellable", rvIntCancellable, priced},
 		{"auto doall", riInt, auto("alloc-doall")},
 		{"doall dynamic", riInt, Options{Procs: 2, Strategy: StrategySpeculate, Schedule: Dynamic}},
 		{"doall static", riInt, Options{Procs: 2, Strategy: StrategySpeculate, Schedule: Static}},

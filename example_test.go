@@ -8,6 +8,8 @@ import (
 
 // A DO loop with a conditional exit — the canonical WHILE-loop shape —
 // executed speculatively in parallel with automatic undo of overshoot.
+// StrategySpeculate pins the engine: the default, Auto, times the loop
+// and would run a body this light sequentially.
 func ExampleRunInduction() {
 	const n = 1000
 	data := whilepar.NewArray("data", n)
@@ -30,9 +32,10 @@ func ExampleRunInduction() {
 		Max: n,
 	}
 	rep, err := whilepar.RunInduction(loop, whilepar.Options{
-		Procs:  8,
-		Shared: []*whilepar.Array{out},
-		Tested: []*whilepar.Array{out},
+		Strategy: whilepar.StrategySpeculate,
+		Procs:    8,
+		Shared:   []*whilepar.Array{out},
+		Tested:   []*whilepar.Array{out},
 	})
 	if err != nil {
 		panic(err)

@@ -47,10 +47,14 @@ func run(name string, subs []int, flow bool) {
 		Max: n,
 	}
 
+	// StrategySpeculate pins the protocol this example is about: left to
+	// itself, Auto times the loop's first iterations and runs a body as
+	// light as this one sequentially.
 	rep, err := whilepar.RunInduction(loop, whilepar.Options{
-		Procs:  8,
-		Shared: []*whilepar.Array{state},
-		Tested: []*whilepar.Array{state},
+		Strategy: whilepar.StrategySpeculate,
+		Procs:    8,
+		Shared:   []*whilepar.Array{state},
+		Tested:   []*whilepar.Array{state},
 	})
 	if err != nil {
 		log.Fatal(err)

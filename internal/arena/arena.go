@@ -2,8 +2,8 @@
 // allocates per engine invocation — checkpoint copies, stamp shards,
 // epoch tags, PD shadow marks.  A strip-mined run used to pay a fresh
 // O(procs x n) allocation (and the runtime's implied zeroing) for every
-// engine construction; recycling the buffers through sync.Pool turns
-// that into a size check and, where staleness matters, one memclr.
+// engine construction; recycling the buffers turns that into a size
+// check and, where staleness matters, one memclr.
 //
 // Pools are size-classed: every buffer lives in the bucket of the power
 // of two its capacity reaches, and a request is served only from the
@@ -20,14 +20,21 @@
 // request the zeroed variant.  Returning a slice via its Put function
 // transfers ownership back — the caller must not retain a reference.
 //
-// Everything recycled sits in a sync.Pool, which the garbage collector
-// empties: an idle process gives the memory back, and nothing here can
-// pin a buffer.
+// Small classes sit in sync.Pools.  A sync.Pool keeps what a goroutine
+// puts in a slot private to its P, so a Get from another P misses while
+// the buffer idles; for a 64-element journal that costs nothing, for a
+// 256 KiB shadow it is the whole point of pooling lost.  Classes of
+// largeClass and up therefore share one free list per class, which any
+// P's Get pops.  Both age by garbage-collection cycle — what nobody
+// took for two cycles is dropped — so an idle process gives the memory
+// back and nothing here can pin a buffer.
 package arena
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // minClass is the smallest size class (64 elements): requests below it
@@ -50,18 +57,31 @@ func classOf(n int) int {
 // allocated with: n rounded up to its size class.
 func ClassCap(n int) int { return 1 << classOf(n) }
 
+// largeClass is the first size class kept on a shared free list: 8192
+// elements, 64 KiB of 8-byte words.
+const largeClass = 13
+
 // Pool is a size-classed pool of objects that each own buffers of some
 // capacity — the shape a shadow or shard needs when it must come back
 // together with state describing its buffers (the last epoch its tags
-// were written under), which a bare slice cannot carry.
+// were written under), which a bare slice cannot carry.  A Pool is
+// meant to live as long as the process (a package-level variable): the
+// collector's sweep keeps a reference to every Pool that ever held a
+// large object.
 type Pool[T any] struct {
-	classes [numClasses]sync.Pool
+	classes [largeClass]sync.Pool
+	large   [numClasses - largeClass]freeList[T]
+	watched sync.Once
 }
 
 // Get returns a pooled object whose capacity is at least ClassCap(n),
 // or nil when the class is empty.
 func (p *Pool[T]) Get(n int) *T {
-	v, _ := p.classes[classOf(n)].Get().(*T)
+	c := classOf(n)
+	if c >= largeClass {
+		return p.large[c-largeClass].get()
+	}
+	v, _ := p.classes[c].Get().(*T)
 	return v
 }
 
@@ -73,7 +93,107 @@ func (p *Pool[T]) Put(capacity int, v *T) {
 	}
 	// The bucket of the largest power of two the capacity reaches:
 	// everything in bucket c can serve any request of class c.
-	p.classes[bits.Len(uint(capacity))-1].Put(v)
+	c := bits.Len(uint(capacity)) - 1
+	if c >= largeClass {
+		p.watched.Do(func() { watch(p) })
+		p.large[c-largeClass].put(v, gcCycle.Load())
+		return
+	}
+	p.classes[c].Put(v)
+}
+
+// sweep drops every large object nobody took for two collection cycles.
+func (p *Pool[T]) sweep(now uint32) {
+	for i := range p.large {
+		p.large[i].sweep(now)
+	}
+}
+
+// freeList is one large class's idle objects, oldest first: Put appends,
+// Get pops the newest (the one likeliest still in cache), and the sweep
+// drops from the front.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []aged[T]
+}
+
+// aged is an idle object and the collection cycle it was put back in.
+type aged[T any] struct {
+	v     *T
+	cycle uint32
+}
+
+func (f *freeList[T]) get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.items)
+	if n == 0 {
+		return nil
+	}
+	v := f.items[n-1].v
+	f.items[n-1] = aged[T]{}
+	f.items = f.items[:n-1]
+	return v
+}
+
+func (f *freeList[T]) put(v *T, cycle uint32) {
+	f.mu.Lock()
+	f.items = append(f.items, aged[T]{v: v, cycle: cycle})
+	f.mu.Unlock()
+}
+
+func (f *freeList[T]) sweep(now uint32) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	stale := 0
+	for stale < len(f.items) && now-f.items[stale].cycle >= 2 {
+		stale++
+	}
+	if stale == 0 {
+		return
+	}
+	kept := copy(f.items, f.items[stale:])
+	clear(f.items[kept:])
+	f.items = f.items[:kept]
+}
+
+// The collection-cycle clock behind the free lists' ageing: a sentinel
+// object whose finalizer runs once per cycle, advances gcCycle, sweeps
+// every watched pool and re-arms itself.  (runtime.ReadMemStats also
+// counts cycles, but stops the world to do it.)
+var (
+	gcCycle   atomic.Uint32
+	gcWatch   sync.Once
+	watchedMu sync.Mutex
+	watched   []sweeper
+)
+
+// sweeper is a Pool of any element type, as the clock sees it.
+type sweeper interface{ sweep(now uint32) }
+
+// gcSentinel holds a pointer so the runtime allocates it on its own and
+// runs its finalizer promptly (pointer-free tiny objects are batched).
+type gcSentinel struct{ _ *byte }
+
+func gcTick(s *gcSentinel) {
+	now := gcCycle.Add(1)
+	watchedMu.Lock()
+	pools := watched
+	watchedMu.Unlock()
+	for _, p := range pools {
+		p.sweep(now)
+	}
+	runtime.SetFinalizer(s, gcTick)
+}
+
+// watch enrols a pool in the per-cycle sweep and starts the clock on
+// first use.
+func watch(p sweeper) {
+	watchedMu.Lock()
+	// Copy on write: gcTick iterates the slice it read without the lock.
+	watched = append(watched[:len(watched):len(watched)], p)
+	watchedMu.Unlock()
+	gcWatch.Do(func() { runtime.SetFinalizer(&gcSentinel{}, gcTick) })
 }
 
 // SlicePool is a size-classed pool of []T buffers.  Each instantiation

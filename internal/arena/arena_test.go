@@ -1,6 +1,11 @@
 package arena
 
-import "testing"
+import (
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+)
 
 func TestRoundTripSizes(t *testing.T) {
 	a := Float64s(1024)
@@ -162,4 +167,105 @@ func TestAppendIntsGrowsThroughThePool(t *testing.T) {
 		t.Fatalf("cap %d is not a size class: growth bypassed the pool", c)
 	}
 	PutInts(s)
+}
+
+// A large buffer any goroutine put back must serve the next Get of its
+// class, whichever P asks: in a sync.Pool it could idle in the putting
+// P's private slot while the Get missed and allocated.
+func TestLargeGetNeverMissesWhileABufferIsIdle(t *testing.T) {
+	const n, workers = 1 << 15, 8
+	type shadow struct{ recs []int64 }
+	var p Pool[shadow]
+	put := map[*shadow]bool{}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runtime.LockOSThread() // spread the Puts over the Ps
+			defer runtime.UnlockOSThread()
+			s := &shadow{recs: make([]int64, ClassCap(n))}
+			mu.Lock()
+			put[s] = true
+			mu.Unlock()
+			p.Put(cap(s.recs), s)
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < workers; i++ {
+		s := p.Get(n)
+		if s == nil {
+			t.Fatalf("Get %d of %d missed with %d buffers idle", i+1, workers, workers-i)
+		}
+		if !put[s] {
+			t.Fatal("Get returned an object nobody put")
+		}
+		delete(put, s)
+	}
+	if p.Get(n) != nil {
+		t.Fatal("an empty class returned an object")
+	}
+}
+
+// idle counts the objects a large class holds.
+func (f *freeList[T]) idle() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.items)
+}
+
+// What nobody takes for two collection cycles goes back to the runtime;
+// what is taken and put back in between stays.
+func TestLargeBuffersAgeOutAfterTwoCollections(t *testing.T) {
+	const n = 1 << 14
+	var p Pool[[]float64]
+	list := &p.large[classOf(n)-largeClass]
+	fresh := func() *[]float64 { b := make([]float64, ClassCap(n)); return &b }
+
+	// waitCycle forces one collection and waits for the sweep behind it.
+	waitCycle := func() {
+		t.Helper()
+		before := gcCycle.Load()
+		for deadline := time.Now().Add(5 * time.Second); gcCycle.Load() == before; {
+			if time.Now().After(deadline) {
+				t.Fatal("the collection-cycle clock does not advance")
+			}
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// stillIdle fails when the buffer put back at cycle putAt is gone
+	// before two cycles have passed.  The count is read first: if fewer
+	// than two cycles show afterwards, fewer had swept when it was read.
+	stillIdle := func(putAt uint32, when string) {
+		t.Helper()
+		if n, now := list.idle(), gcCycle.Load(); now-putAt < 2 && n != 1 {
+			t.Fatalf("%s: idle = %d, %d cycle(s) after the Put", when, n, now-putAt)
+		}
+	}
+
+	putAt := gcCycle.Load()
+	p.Put(ClassCap(n), fresh())
+	waitCycle()
+	stillIdle(putAt, "after one collection")
+	// Used in between: the age starts over.
+	if b := p.Get(n); b != nil {
+		putAt = gcCycle.Load()
+		p.Put(cap(*b), b)
+		waitCycle()
+		stillIdle(putAt, "one collection after being used")
+	}
+	// Untouched from here on: gone within a few cycles (the forced
+	// collections may outrun the sweeps by one).
+	for i := 0; i < 4 && list.idle() > 0; i++ {
+		waitCycle()
+	}
+	if list.idle() != 0 {
+		t.Fatalf("an idle buffer survived the sweeps (idle = %d)", list.idle())
+	}
+	if p.Get(n) != nil {
+		t.Fatal("Get returned a swept buffer")
+	}
 }

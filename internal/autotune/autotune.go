@@ -12,23 +12,28 @@
 // runs dominates how fast any single engine is.  This package closes
 // that gap in three stages:
 //
-//  1. probe: the orchestrator executes the first strip sequentially,
-//     which is free (those iterations had to run anyway, and the
+//  1. probe: the orchestrator executes the first iterations
+//     sequentially, which is free (they had to run anyway, and the
 //     sequential prefix is exactly the committed state every
-//     speculative engine starts from) and yields the per-iteration
-//     body cost, an early-termination signal, and a trip-count sample
-//     for costmodel.BranchStats;
+//     speculative engine starts from), and times them: the warm
+//     per-iteration cost, the tracked accesses per iteration, an
+//     early-termination signal, and a trip-count sample for
+//     costmodel.BranchStats;
 //  2. decide: Decide maps the profile plus deterministic loop facts
 //     (remaining iterations, processor count, whether speculation is
-//     required) to a Plan.  The decision deliberately ignores measured
-//     wall-clock time: timing jitter must never flip the chosen
-//     strategy between two identical runs (the probe's nanoseconds
-//     only size strips, never select engines);
+//     required) to the engine Table 1 calls for, and DecideTimed
+//     (planner.go) keeps that engine only if the Section 7 model, fed
+//     with the probe's estimate and this host's calibrated unit costs,
+//     predicts it beats sequential execution.  Both are pure functions;
+//     the profile's smoothing and a hysteresis band keep the wall
+//     clock's jitter out of the choice;
 //  3. retune: a Tuner (tuner.go) re-decides strip size and engine
 //     mid-run from the internal/obs counters the execution is already
-//     accumulating — violation storms shrink the window and eventually
-//     fall back to sequential, clean streaks grow it and promote the
-//     run to the pipelined engine.
+//     accumulating and from the strips' measured durations — violation
+//     storms shrink the window and eventually fall back to sequential,
+//     as does a run whose strips cost more per iteration than the
+//     sequential estimate; clean streaks grow the window and promote
+//     the run to the pipelined engine.
 package autotune
 
 import (
@@ -96,6 +101,15 @@ type Plan struct {
 	// Speculative engine with the Stealing schedule and a block-aligned
 	// strip, so worker footprints land on signature-block boundaries.
 	Tier int
+	// ExpectedSpeedup is the attainable speedup Sp_at DecideTimed
+	// predicted for the engine it considered — below 1 (inside the
+	// hysteresis band: about 1) when that made it choose Sequential —
+	// Reason says how it was arrived at, and SeqNsPerIter is the
+	// sequential estimate it rests on (the probe's, smoothed by the
+	// profile).  All zero from Decide, which predicts nothing.
+	ExpectedSpeedup float64
+	Reason          string
+	SeqNsPerIter    float64
 }
 
 // ProbeResult is what the orchestrator learned from running the first
@@ -153,8 +167,17 @@ type Profile struct {
 	Key string `json:"key"`
 	// Runs recorded into this profile.
 	Runs int `json:"runs"`
-	// NsPerIter is the probed per-iteration body cost.
+	// NsPerIter is the measured sequential cost of one iteration: the
+	// timed probe's warm estimate.
 	NsPerIter float64 `json:"ns_per_iter"`
+	// SpecNsPerIter is the measured cost of one iteration under the
+	// speculative engines, at tier LastTier, everything included —
+	// checkpoints, validation, rewinds and re-executions.  Zero until a
+	// speculative run has been timed; from then on it moves from the
+	// cost model's prediction toward the measurements, run by run.  Its
+	// ratio to NsPerIter is the speedup speculation attains here, and
+	// corrects the model (DecideTimed).
+	SpecNsPerIter float64 `json:"spec_ns_per_iter"`
 	// TripFraction is valid iterations over the iteration-space bound:
 	// near 1 means the loop almost always runs to its bound (a
 	// balanced, steal-friendly space), low values mean early exits.
@@ -186,6 +209,14 @@ type Sample struct {
 	// Ns over NsIters is the probed body cost (0 iters = no estimate).
 	Ns      int64
 	NsIters int
+	// SpecNs is the wall time the speculative engine took to commit
+	// SpecIters iterations (0 iters = nothing to learn from), and
+	// SpecPredicted the ns/iter the planner had predicted for it (0 =
+	// no prediction): the prior a first measurement is folded into, so
+	// that it takes several slow runs, not one, to overturn the model.
+	SpecNs        int64
+	SpecIters     int
+	SpecPredicted float64
 	// Strips and SeqStrips from the speculative engines (both 0 when
 	// the run never speculated).
 	Strips, SeqStrips int
@@ -211,12 +242,34 @@ func ewma(old, sample float64, first bool) float64 {
 	return old + ewmaAlpha*(sample-old)
 }
 
+// foldSeq folds a probe's estimate into the remembered sequential cost
+// of an iteration: the EWMA, with the sample counted as at most twice
+// what is remembered.  The host can slow a probe down but never speed
+// it up, so a jump is likelier a burst than a changed loop — and a loop
+// that did change gets there within a few runs anyway.
+func foldSeq(old, sample float64) float64 {
+	if old <= 0 {
+		return sample
+	}
+	if sample > 2*old {
+		sample = 2 * old
+	}
+	return ewma(old, sample, false)
+}
+
 // apply folds one sample into the profile.
 func (p *Profile) apply(s Sample) {
 	first := p.Runs == 0
 	p.Runs++
 	if s.NsIters > 0 && s.Ns > 0 {
-		p.NsPerIter = ewma(p.NsPerIter, float64(s.Ns)/float64(s.NsIters), first || p.NsPerIter == 0)
+		p.NsPerIter = foldSeq(p.NsPerIter, float64(s.Ns)/float64(s.NsIters))
+	}
+	if s.SpecIters > 0 && s.SpecNs > 0 {
+		old := p.SpecNsPerIter
+		if old == 0 {
+			old = s.SpecPredicted
+		}
+		p.SpecNsPerIter = ewma(old, float64(s.SpecNs)/float64(s.SpecIters), old == 0)
 	}
 	if s.Total > 0 {
 		p.TripFraction = ewma(p.TripFraction, float64(s.Valid)/float64(s.Total), first)
@@ -257,8 +310,9 @@ func (p *Profile) apply(s Sample) {
 // A payload with a different (or missing) version is discarded rather
 // than migrated: profiles are a cache of cheap-to-relearn history, and
 // re-probing for a few runs is strictly safer than guessing what an
-// old field meant.
-const StoreSchemaVersion = 2
+// old field meant.  Version 3: NsPerIter became the timed probe's warm
+// estimate and SpecNsPerIter joined it; the planner compares the two.
+const StoreSchemaVersion = 3
 
 // storePayload is the persisted envelope around the profile map.
 type storePayload struct {
@@ -273,6 +327,7 @@ type storePayload struct {
 type ProfileStore struct {
 	mu       sync.Mutex
 	profiles map[string]Profile
+	table    *Table
 }
 
 // NewProfileStore returns an empty store.
@@ -287,6 +342,29 @@ var std = NewProfileStore()
 
 // Default returns the process-wide store.
 func Default() *ProfileStore { return std }
+
+// Table returns the unit costs the planner prices this store's loops
+// with: the host's calibrated table (see HostTable for speculative)
+// unless SetTable injected another.
+func (s *ProfileStore) Table(speculative bool) *Table {
+	s.mu.Lock()
+	t := s.table
+	s.mu.Unlock()
+	if t == nil {
+		t = HostTable(speculative)
+	}
+	return t
+}
+
+// SetTable injects the table the planner prices this store's loops
+// with, in place of the host's.  It exists for tests and benchmarks
+// that need the choice not to depend on the host they run on (see
+// Table.Off).  The table is not part of the persisted payload.
+func (s *ProfileStore) SetTable(t *Table) {
+	s.mu.Lock()
+	s.table = t
+	s.mu.Unlock()
+}
 
 // Lookup returns the profile recorded under key.
 func (s *ProfileStore) Lookup(key string) (Profile, bool) {
@@ -344,15 +422,14 @@ func (s *ProfileStore) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Decide maps a profile plus deterministic loop facts to a Plan.
+// Decide maps a profile plus deterministic loop facts to a Plan: the
+// Table 1 dispatch.  It says which engine the loop's shape and history
+// call for, not whether that engine pays — DecideTimed puts the Section
+// 7 verdict on top — and is what paths without a timed probe use.
 //
 // Every input is reproducible — iteration counts, processor count, the
-// classifier's speculation verdict, and the (persisted) profile.  The
-// probe's measured nanoseconds are deliberately absent: two identical
-// invocations must choose identical strategies, so wall-clock jitter
-// may size nothing but strips (and strip size is itself retuned
-// per-strip anyway).  Determinism is load-bearing for callers that
-// compare Reports across runs and for the profile round-trip tests.
+// classifier's speculation verdict, and the (persisted) profile — so
+// two identical invocations choose identical strategies.
 //
 // The rules, in order:
 //

@@ -143,7 +143,7 @@ func TestTunerGrowAndPipeline(t *testing.T) {
 	lo := 0
 	for i := 0; i < 4; i++ {
 		s := tu.NextStrip(lo, 10_000)
-		tu.Observe(lo, s, lo+s, true)
+		tu.Observe(lo, s, lo+s, true, 0)
 		lo += s
 	}
 	if tu.NextStrip(lo, 10_000) <= 16 {
@@ -178,7 +178,7 @@ func TestTunerShrinkAndSequentialDemotion(t *testing.T) {
 	lo := 0
 	for i := 0; i < 3; i++ {
 		s := tu.NextStrip(lo, 10_000)
-		tu.Observe(lo, 0, lo+s, false)
+		tu.Observe(lo, 0, lo+s, false, 0)
 		lo += s
 	}
 	if tu.NextStrip(lo, 10_000) >= 64 {
@@ -199,7 +199,7 @@ func TestTunerStripNeverBelowFloor(t *testing.T) {
 	tu := NewTuner(TunerConfig{Plan: Plan{Engine: Speculative, Strip: 8}, Procs: 4, Total: 1000})
 	for i := 0; i < 10; i++ {
 		s := tu.NextStrip(0, 1000)
-		tu.Observe(0, 0, s, false)
+		tu.Observe(0, 0, s, false, 0)
 	}
 	if s := tu.NextStrip(0, 1000); s < 4 {
 		t.Fatalf("strip %d fell below the procs floor", s)

@@ -10,7 +10,9 @@ type RetuneEvent struct {
 	// AtIter is the global iteration boundary the decision was taken
 	// at (the end of the strip that triggered it).
 	AtIter int `json:"at_iter"`
-	// Action is "grow", "shrink", "pipeline" or "sequential".
+	// Action is "grow", "shrink", "pipeline", "sequential" (three
+	// violated strips in a row) or "sequential: measured" (the strips
+	// so far cost more per iteration than sequential execution would).
 	Action string `json:"action"`
 	// Strip is the strip size in force after the adjustment.
 	Strip int `json:"strip"`
@@ -31,6 +33,11 @@ type TunerConfig struct {
 	// already accumulating, so its verdicts corroborate the engine's
 	// own clean/violated signal.  May be nil.
 	Metrics *obs.Metrics
+	// SeqNsPerIter is the planner's sequential estimate; once the
+	// strips' cumulative wall time per committed iteration exceeds it
+	// by the hysteresis band, the Tuner demotes the run.  Zero disables
+	// the check.
+	SeqNsPerIter float64
 }
 
 // Tuner re-decides strip size and engine mid-run.  It implements the
@@ -46,9 +53,14 @@ type TunerConfig struct {
 //   - a clean streak doubles the strip size (fewer barriers and
 //     checkpoints per iteration), and a streak of three promotes the
 //     run to the pipelined engine, which hides the PD test behind the
-//     next strip's execution.
+//     next strip's execution;
+//   - a run whose strips, rewinds and re-executions included, have
+//     cost more per committed iteration than the planner's sequential
+//     estimate (by more than the hysteresis band, and over at least
+//     minTimedStrips strips) is not going to win that back: the model
+//     over-promised, and the remainder runs sequentially.
 //
-// Both switches are one-way within a run: the profile, not the run,
+// The switches are one-way within a run: the profile, not the run,
 // carries the lesson back to the next invocation.
 type Tuner struct {
 	cfg                TunerConfig
@@ -60,8 +72,16 @@ type Tuner struct {
 	sequential         bool
 	lastPDFail         int64
 	lastAborts         int64
-	events             []RetuneEvent
+	// strips, ns and iters accumulate what Observe was told: strips
+	// seen, their wall time, the iterations they committed.
+	strips    int
+	ns, iters int64
+	events    []RetuneEvent
 }
+
+// minTimedStrips is how many strips the measured demotion waits for:
+// the first strip alone carries the full checkpoint and cold shadows.
+const minTimedStrips = 2
 
 // NewTuner returns a Tuner starting from cfg.Plan.
 func NewTuner(cfg TunerConfig) *Tuner {
@@ -88,11 +108,22 @@ func NewTuner(cfg TunerConfig) *Tuner {
 func (t *Tuner) NextStrip(done, total int) int { return t.strip }
 
 // Observe reports the outcome of the strip [lo, hi): committed is the
-// engine's own verdict (PD passed, no exception).  The Tuner
-// corroborates it against the obs counter deltas — a PD failure or
-// speculation abort recorded since the last strip marks the strip
-// violated even if the caller's flag disagrees — and adjusts.
-func (t *Tuner) Observe(lo, valid, hi int, committed bool) {
+// engine's own verdict (PD passed, no exception) and ns the strip's
+// wall time, any rewind and sequential re-execution included.  The
+// Tuner corroborates the verdict against the obs counter deltas — a PD
+// failure or speculation abort recorded since the last strip marks the
+// strip violated even if the caller's flag disagrees — and adjusts.
+func (t *Tuner) Observe(lo, valid, hi int, committed bool, ns int64) {
+	t.strips++
+	t.ns += ns
+	t.iters += int64(valid)
+	if seq := t.cfg.SeqNsPerIter; seq > 0 && !t.sequential && t.strips >= minTimedStrips &&
+		float64(t.ns) > (1+Hysteresis)*seq*float64(t.iters) {
+		t.sequential = true
+		t.cfg.Metrics.StrategySwitch()
+		t.record(hi, "sequential: measured")
+		return // the run is over: nothing left to size
+	}
 	violated := !committed
 	if m := t.cfg.Metrics; m != nil {
 		s := m.Snapshot()

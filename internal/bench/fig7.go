@@ -89,6 +89,7 @@ func VerifyFig7(procs int) []string {
 	parS := track.New(500, 480, 17)
 	seqS.RunSequential()
 	rep, err := core.RunInduction(parS.Loop(), core.Options{
+		Strategy:        core.StrategySpeculate, // Auto would run so light a body sequentially
 		Procs:           procs,
 		InductionMethod: induction.Induction1,
 		Shared:          []*mem.Array{parS.State},

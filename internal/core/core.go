@@ -259,7 +259,10 @@ type Report struct {
 	Strategy string
 	// UsedParallel is false if the loop ran (or re-ran) sequentially.
 	UsedParallel bool
-	// Decision is the cost model's verdict (zero if no Times given).
+	// Decision is the cost model's verdict: on the adaptive path the
+	// planner's (predicted Sp_at from the timed probe and the host's
+	// unit costs, and the reasoning), elsewhere ShouldParallelize's on
+	// Options.Times (the default-to-parallelize verdict if none given).
 	Decision costmodel.Decision
 	// Failure explains a speculative fallback, "" otherwise.
 	Failure string
@@ -310,6 +313,12 @@ type Report struct {
 	// orchestrator returns; nil unless Options.Metrics was set.
 	Metrics *obs.Snapshot
 }
+
+// Strategy names of the two whole-loop sequential executions.
+const (
+	seqExplicit  = "sequential (explicit)"
+	seqCostModel = "sequential (cost model)"
+)
 
 // finish stamps the report with a metrics snapshot (when requested)
 // and the settled strategy name just before the orchestrator hands it
@@ -387,10 +396,7 @@ func RunInductionCtx(ctx context.Context, l *loopir.Loop[int], opt Options) (Rep
 	ctx, stop := opt.withDeadline(ctx)
 	defer stop()
 	if opt.Strategy == StrategySequential {
-		rep := Report{Strategy: "sequential (explicit)"}
-		rep.Valid = loopir.RunSequential(l).Iterations
-		recordStats(opt, rep.Valid)
-		return finish(rep, opt), nil
+		return runSequential(ctx, l, Report{Strategy: seqExplicit}, opt)
 	}
 	if opt.autoEligible() {
 		if cf, ok := l.Disp.(loopir.ClosedForm[int]); ok && l.Max > 0 {
@@ -400,11 +406,8 @@ func RunInductionCtx(ctx context.Context, l *loopir.Loop[int], opt Options) (Rep
 	d, ok := decide(opt, l.Class.Dispatcher)
 	rep := Report{Decision: d, Strategy: opt.InductionMethod.String()}
 	if !ok {
-		res := loopir.RunSequential(l)
-		rep.Valid = res.Iterations
-		rep.Strategy = "sequential (cost model)"
-		recordStats(opt, rep.Valid)
-		return finish(rep, opt), nil
+		rep.Strategy = seqCostModel
+		return runSequential(ctx, l, rep, opt)
 	}
 
 	pool, owned := opt.newPool()
@@ -554,10 +557,7 @@ func RunAssociativeCtx(ctx context.Context, l *loopir.Loop[float64], opt Options
 	ctx, stop := opt.withDeadline(ctx)
 	defer stop()
 	if opt.Strategy == StrategySequential {
-		rep := Report{Strategy: "sequential (explicit)"}
-		rep.Valid = loopir.RunSequential(l).Iterations
-		recordStats(opt, rep.Valid)
-		return finish(rep, opt), nil
+		return runSequential(ctx, l, Report{Strategy: seqExplicit}, opt)
 	}
 	return runAssociative(ctx, l, opt)
 }
@@ -574,11 +574,8 @@ func runAssociative(ctx context.Context, l *loopir.Loop[float64], opt Options) (
 	d, okDecide := decide(opt, loopir.AssociativeRecurrence)
 	rep := Report{Decision: d, Strategy: "parallel prefix + DOALL"}
 	if !okDecide {
-		res := loopir.RunSequential(l)
-		rep.Valid = res.Iterations
-		rep.Strategy = "sequential (cost model)"
-		recordStats(opt, rep.Valid)
-		return finish(rep, opt), nil
+		rep.Strategy = seqCostModel
+		return runSequential(ctx, l, rep, opt)
 	}
 	maxTerms := l.Max
 	if maxTerms <= 0 {
@@ -627,10 +624,7 @@ func RunGeneralNumericCtx(ctx context.Context, l *loopir.Loop[float64], opt Opti
 	ctx, stop := opt.withDeadline(ctx)
 	defer stop()
 	if opt.Strategy == StrategySequential {
-		rep := Report{Strategy: "sequential (explicit)"}
-		rep.Valid = loopir.RunSequential(l).Iterations
-		recordStats(opt, rep.Valid)
-		return finish(rep, opt), nil
+		return runSequential(ctx, l, Report{Strategy: seqExplicit}, opt)
 	}
 	if _, ok := l.Disp.(loopir.Affine); ok {
 		return runAssociative(ctx, l, opt)
@@ -654,11 +648,8 @@ func RunGeneralNumericCtx(ctx context.Context, l *loopir.Loop[float64], opt Opti
 	d, okDecide := decide(opt, loopir.GeneralRecurrence)
 	rep := Report{Decision: d, Strategy: "sequential dispatcher + DOALL (naive distribution)"}
 	if !okDecide {
-		res := loopir.RunSequential(l)
-		rep.Valid = res.Iterations
-		rep.Strategy = "sequential (cost model)"
-		recordStats(opt, rep.Valid)
-		return finish(rep, opt), nil
+		rep.Strategy = seqCostModel
+		return runSequential(ctx, l, rep, opt)
 	}
 	var terms []float64
 	x := l.Disp.Start()
@@ -794,10 +785,7 @@ func RunListCtx(ctx context.Context, head *list.Node, body genrec.Body, class lo
 	ctx, stop := opt.withDeadline(ctx)
 	defer stop()
 	if opt.Strategy == StrategySequential {
-		rep := Report{Strategy: "sequential (explicit)"}
-		rep.Valid = runListSequential(head, 0, body)
-		recordStats(opt, rep.Valid)
-		return finish(rep, opt), nil
+		return runSequential(ctx, listLoop(head, body, class), Report{Strategy: seqExplicit}, opt)
 	}
 	if opt.pipeline {
 		return Report{}, fmt.Errorf("%w: list traversals have no strip-mineable dispatcher", ErrPipelineUnsupported)
@@ -809,10 +797,8 @@ func RunListCtx(ctx context.Context, head *list.Node, body genrec.Body, class lo
 	}
 	rep := Report{Decision: d, Strategy: method.String()}
 	if !ok {
-		rep.Valid = runListSequential(head, 0, body)
-		rep.Strategy = "sequential (cost model)"
-		recordStats(opt, rep.Valid)
-		return finish(rep, opt), nil
+		rep.Strategy = seqCostModel
+		return runSequential(ctx, listLoop(head, body, class), rep, opt)
 	}
 
 	pool, owned := opt.newPool()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 
 	"whilepar/internal/induction"
 	"whilepar/internal/sched"
@@ -127,9 +128,20 @@ func (o Options) autoEligible() bool {
 // different source lines learn independently; the same line re-run in
 // the same process (or with a persisted store, across processes) finds
 // its history.
+//
+// Symbolizing a stack allocates a few hundred bytes, which a loop run
+// thousands of times from one line pays every time; the keys of the
+// stacks seen so far are remembered (up to maxSiteKeys of them).
 func callSiteKey() string {
 	var pcs [16]uintptr
 	n := runtime.Callers(2, pcs[:])
+	siteKeys.RLock()
+	key, ok := siteKeys.m[pcs]
+	siteKeys.RUnlock()
+	if ok {
+		return key
+	}
+	key = "unknown"
 	frames := runtime.CallersFrames(pcs[:n])
 	for {
 		f, more := frames.Next()
@@ -138,10 +150,29 @@ func callSiteKey() string {
 			!strings.HasPrefix(fn, "whilepar/internal/") &&
 			!strings.HasPrefix(fn, "whilepar.Run") &&
 			!strings.HasPrefix(fn, "runtime.") {
-			return fmt.Sprintf("%s:%d", f.File, f.Line)
+			key = fmt.Sprintf("%s:%d", f.File, f.Line)
+			break
 		}
 		if !more {
-			return "unknown"
+			break
 		}
 	}
+	siteKeys.Lock()
+	if siteKeys.m == nil {
+		siteKeys.m = make(map[[16]uintptr]string)
+	}
+	if len(siteKeys.m) < maxSiteKeys {
+		siteKeys.m[pcs] = key
+	}
+	siteKeys.Unlock()
+	return key
+}
+
+// maxSiteKeys bounds the memo: a program reaches its loops through a
+// handful of stacks, and one that does not merely symbolizes again.
+const maxSiteKeys = 1024
+
+var siteKeys struct {
+	sync.RWMutex
+	m map[[16]uintptr]string
 }

@@ -148,7 +148,9 @@ type Decision struct {
 	// Reason is a short human-readable justification.
 	Reason string
 	// ExpectedSpeedup is Sp_at under worst-case overheads (1 if
-	// sequential execution is recommended).
+	// sequential execution is recommended).  The auto path's planner
+	// reports the Sp_at it predicted from measured terms as it is:
+	// below 1 where that made it recommend sequential execution.
 	ExpectedSpeedup float64
 }
 
@@ -210,4 +212,79 @@ func ShouldParallelize(ps Params) Decision {
 	}
 	return Decision{Parallelize: true, ExpectedSpeedup: spat,
 		Reason: "sufficient parallelism available"}
+}
+
+// UnitCosts prices, in nanoseconds on one host, the primitive operations
+// the run-time techniques add to a loop under one validation tier — one
+// row of the planner's calibration table (internal/autotune).  They are
+// the measured counterparts of the `a`-proportional terms WorstCase
+// assumes: with them Tb, Td and Ta come out in the loop's own unit of
+// time instead of abstract accesses.
+type UnitCosts struct {
+	// Dispatch is issuing one iteration to a worker: claiming its index
+	// and the scheduler's bookkeeping (Td).
+	Dispatch float64
+	// Load is one tracked load (shadow-marked) and Store one tracked
+	// store (time-stamped and shadow-marked), each beyond the direct
+	// access it replaces (Td).
+	Load, Store float64
+	// Elem is the post-execution analysis of one element the loop
+	// touched (Ta).
+	Elem float64
+	// CheckpointWord is saving one word before a strip (Tb); UndoWord
+	// restoring one overshot word after it (Ta).
+	CheckpointWord, UndoWord float64
+	// Barrier is what one strip costs whatever its length: the dispatch
+	// onto the workers and the join (Tb).
+	Barrier float64
+}
+
+// Measured characterizes what is left of a loop by what a timed
+// sequential probe saw of it.
+type Measured struct {
+	// NsPerIter is the sequential time of one iteration, dispatcher
+	// included.
+	NsPerIter float64
+	// Loads and Stores are the tracked accesses one iteration makes: the
+	// paper's `a`, per iteration and split by kind.
+	Loads, Stores float64
+	// Iters is how many iterations are left, Strips in how many strips
+	// (barriers) they will run.
+	Iters, Strips int
+	// Words is the state checkpointed in full before the first strip;
+	// Overshoot how many iterations are expected to run past the exit
+	// and be undone.
+	Words, Overshoot float64
+}
+
+// Times returns the remainder's sequential time.  A probe times the
+// dispatcher together with the body, so all of it is Trem.
+func (m Measured) Times() LoopTimes {
+	n := float64(m.Iters)
+	return LoopTimes{Trem: n * m.NsPerIter, Accesses: n * (m.Loads + m.Stores)}
+}
+
+// Overheads prices the three overhead classes for m on p processors:
+// Tb the full checkpoint, the incremental re-arm of every later strip
+// (what the strip before it wrote) and the strips' barriers; Td the
+// dispatch and the marking, which parallelize as the loop does; Ta the
+// analysis of the touched elements (one per load or store, whichever
+// there are more of), likewise parallel, and the undo of the overshoot.
+func (u UnitCosts) Overheads(m Measured, p int) Overheads {
+	if p < 1 {
+		p = 1
+	}
+	n, fp := float64(m.Iters), float64(p)
+	return Overheads{
+		Tb: (m.Words+n*m.Stores)*u.CheckpointWord + float64(m.Strips)*u.Barrier,
+		Td: n * (u.Dispatch + m.Loads*u.Load + m.Stores*u.Store) / fp,
+		Ta: n*math.Max(m.Loads, m.Stores)*u.Elem/fp + m.Overshoot*m.Stores*u.UndoWord,
+	}
+}
+
+// MeasuredSpeedup is Sp_at = Tseq / (T_ipar + Tb + Td + Ta) for an
+// induction loop, with every term measured: the probe's Tseq and the
+// overheads u prices for it.
+func MeasuredSpeedup(m Measured, u UnitCosts, p int) float64 {
+	return AttainableSpeedup(m.Times(), loopir.MonotonicInduction, p, u.Overheads(m, p))
 }

@@ -27,7 +27,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"whilepar/internal/arena"
 	"whilepar/internal/cancel"
 	"whilepar/internal/list"
 	"whilepar/internal/loopir"
@@ -66,65 +65,17 @@ type Config struct {
 
 func (c Config) hooks() obs.Hooks { return obs.Hooks{M: c.Metrics, T: c.Tracer} }
 
-// execLog records which iterations each virtual processor executed.
-// A worker appends to a slice of its own (worker.log, arena-backed) and
-// hands it over once, when it ends; the merge in finish happens after
-// ForEachProc's wait, which orders it after every hand-over.  Counting
-// overshoot afterwards, against the *final* quit index, makes the
-// accounting exact — a per-iteration `i > quit` check would race
-// against a concurrently-lowering quit minimum.
-type execLog struct {
-	byVP [][]int
-}
-
-// finish counts executed iterations and those at or beyond valid, and
-// returns the logs to the arena.
-func (e *execLog) finish(valid int) (executed, overshot int) {
-	for k, idxs := range e.byVP {
-		executed += len(idxs)
-		for _, i := range idxs {
-			if i >= valid {
-				overshot++
-			}
-		}
-		arena.PutInts(idxs)
-		e.byVP[k] = nil
-	}
-	return executed, overshot
-}
-
-// prefix returns the length of the contiguous executed prefix — the
-// first iteration index no worker executed.  A canceled or panicked
-// execution reports this as its honest Valid: iterations above the
-// first hole may have run, but nothing guarantees their predecessors
-// did.  The prefix can never exceed the total executed count, so the
-// scratch bitmap is bounded by it.
-func (e *execLog) prefix() int {
-	total := 0
-	for _, idxs := range e.byVP {
-		total += len(idxs)
-	}
-	seen := make([]bool, total)
-	for _, idxs := range e.byVP {
-		for _, i := range idxs {
-			if i < total {
-				seen[i] = true
-			}
-		}
-	}
-	for i, s := range seen {
-		if !s {
-			return i
-		}
-	}
-	return total
-}
-
+// procs is the number of workers that will actually run: a pool never
+// runs more than its size, and General-2's static stride must match.
 func (c Config) procs() int {
-	if c.Procs < 1 {
+	p := c.Procs
+	if c.Pool != nil && p > c.Pool.Size() {
+		p = c.Pool.Size()
+	}
+	if p < 1 {
 		return 1
 	}
-	return c.Procs
+	return p
 }
 
 // Result reports a general-method execution.
@@ -144,8 +95,8 @@ type Result struct {
 
 // ctxGuard bundles the cancellation and panic plumbing shared by the
 // three general methods: a stop flag flipped by context.AfterFunc (one
-// plain atomic load per iteration instead of a channel poll),
-// first-panic capture, and the post-join valid/error resolution.
+// plain atomic load per iteration instead of a channel poll) and
+// first-panic capture.
 type ctxGuard struct {
 	stop    atomic.Bool
 	panicAt atomic.Pointer[cancel.PanicError]
@@ -168,8 +119,8 @@ func (g *ctxGuard) done() {
 
 // contain runs one iteration's body behind a recover backstop.  ok is
 // false when the body panicked: the panic has been captured (first one
-// wins), siblings have been told to stop, and the caller must not log
-// the iteration as executed.
+// wins), siblings have been told to stop, and the caller must not
+// count the iteration as executed.
 func (g *ctxGuard) contain(body Body, it *loopir.Iter, node *list.Node, m *obs.Metrics) (quitted, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -182,25 +133,6 @@ func (g *ctxGuard) contain(body Body, it *loopir.Iter, node *list.Node, m *obs.M
 		}
 	}()
 	return !body(it, node), true
-}
-
-// resolve caps valid at the contiguous executed prefix when the run
-// ended early (holes may sit below the quit-derived valid) and picks
-// the error to surface: an iteration-precise panic beats the join
-// error, which is itself either a pool-backstop panic or the wrapped
-// context error.
-func (g *ctxGuard) resolve(valid int, log *execLog, runErr error) (int, error) {
-	pe := g.panicAt.Load()
-	if pe == nil && runErr == nil {
-		return valid, nil
-	}
-	if pfx := log.prefix(); pfx < valid {
-		valid = pfx
-	}
-	if pe != nil {
-		return valid, pe
-	}
-	return valid, runErr
 }
 
 // quitMin tracks the smallest iteration index that signalled an RV exit.
@@ -223,7 +155,19 @@ func (q *quitMin) record(i int) {
 
 func (q *quitMin) get() int { return int(q.v.Load()) }
 
+// none marks a worker that owes no iteration.
+const none = int(^uint(0) >> 1)
+
 // run is the state the workers of one general-method execution share.
+//
+// No per-iteration record is kept of what ran.  Every method executes
+// each claimed (or statically owned) iteration in turn and stops at the
+// first it does not execute, so a worker's whole history is two
+// numbers: how many bodies it completed, and the one iteration it
+// claimed or owned and abandoned — to a panic, or in General-2 to the
+// stop flag.  Together with the methods' claim cursor those give the
+// contiguous executed prefix exactly, and since every iteration below
+// the valid count ran exactly once, Overshot is Executed - Valid.
 type run struct {
 	cfg    Config
 	method string // tracer category
@@ -231,66 +175,92 @@ type run struct {
 	quit   *quitMin
 	g      *ctxGuard
 	slots  loopir.IterSlots
-	log    execLog
 	hops   atomic.Int64
+	// Indexed by vpn, each element written once, by fold.
+	executed, owed []int
 }
 
 func newRun(ctx context.Context, method string, body Body, cfg Config, bound int) *run {
 	p := cfg.procs()
-	return &run{cfg: cfg, method: method, body: body, quit: newQuitMin(bound), g: newCtxGuard(ctx),
-		slots: loopir.NewIterSlots(p), log: execLog{byVP: make([][]int, p)}}
+	r := &run{cfg: cfg, method: method, body: body, quit: newQuitMin(bound), g: newCtxGuard(ctx),
+		slots: loopir.NewIterSlots(p), executed: make([]int, p), owed: make([]int, p)}
+	for vpn := range r.owed {
+		r.owed[vpn] = none
+	}
+	return r
 }
 
 // each runs work on every virtual processor with a worker of its own and
-// folds each worker's private counts in as it ends.  logCap sizes a
-// worker's executed-iteration log.
-func (r *run) each(ctx context.Context, logCap int, work func(w *worker)) error {
+// folds each worker's private counts in as it ends.
+func (r *run) each(ctx context.Context, work func(w *worker)) error {
 	return sched.ForEachProc(ctx, r.cfg.procs(), sched.ProcConfig{Hooks: r.cfg.hooks(), Pool: r.cfg.Pool}, func(vpn int) {
-		w := worker{run: r, vpn: vpn, log: arena.Ints(logCap)}
+		w := worker{run: r, vpn: vpn, owed: r.owed[vpn]}
 		defer w.fold()
 		work(&w)
 	})
 }
 
-// result resolves the execution's outcome after the join; valid is the
-// quit-derived valid count.
-func (r *run) result(valid int, runErr error) (Result, error) {
+// result resolves the execution's outcome after the join.  valid is the
+// quit-derived valid count and claimed the first iteration no worker
+// claimed (none for a static assignment).  When the run ended early,
+// holes may sit below valid: it is capped at the contiguous executed
+// prefix, the lowest iteration somebody owed or nobody claimed.  The
+// error surfaced is an iteration-precise panic before the join error,
+// itself either a pool-backstop panic or the wrapped context error.
+func (r *run) result(valid, claimed int, runErr error) (Result, error) {
 	r.g.done()
-	valid, err := r.g.resolve(valid, &r.log, runErr)
-	executed, overshot := r.log.finish(valid)
+	err := runErr
+	if pe := r.g.panicAt.Load(); pe != nil {
+		err = pe
+	}
+	executed := 0
+	for vpn, n := range r.executed {
+		executed += n
+		if err != nil && r.owed[vpn] < claimed {
+			claimed = r.owed[vpn]
+		}
+	}
+	if err != nil && claimed < valid {
+		valid = claimed
+	}
+	overshot := executed - valid
 	r.cfg.Metrics.OvershotAdd(overshot)
 	return Result{Valid: valid, Executed: executed, Overshot: overshot, Hops: r.hops.Load()}, err
 }
 
 // worker is one virtual processor's private state.  Everything that is
-// only summed at the end — hops, issued and executed counts, the
-// executed-iteration log — accumulates here, in memory no other worker
-// touches, and is folded into the shared state once, by fold.
+// only summed at the end — hops, issued and executed counts, the owed
+// iteration — accumulates here, in memory no other worker touches, and
+// is folded into the shared state once, by fold.
 type worker struct {
 	*run
-	vpn          int
-	log          []int
-	hops, issued int
+	vpn                    int
+	hops, issued, executed int
+	// owed is the iteration this worker must still execute for the
+	// prefix to pass it; none when it has no such iteration.
+	owed int
 }
 
 func (w *worker) fold() {
 	w.run.hops.Add(int64(w.hops))
 	w.cfg.Metrics.IterIssued(w.issued)
-	w.cfg.Metrics.IterExecutedN(w.vpn, len(w.log))
-	w.run.log.byVP[w.vpn] = w.log
+	w.cfg.Metrics.IterExecutedN(w.vpn, w.executed)
+	w.run.executed[w.vpn], w.run.owed[w.vpn] = w.executed, w.owed
 }
 
-// exec runs iteration i on node behind the panic backstop, logs it and
-// posts its RV exit.  It returns false when the body panicked and the
-// worker must stop.
+// exec runs iteration i on node behind the panic backstop, counts it
+// and posts its RV exit.  It returns false when the body panicked and
+// the worker must stop; the iteration stays owed.
 func (w *worker) exec(i int, node *list.Node) bool {
 	tr := w.cfg.Tracer
 	ts := obs.Start(tr)
+	w.owed = i
 	quitted, ok := w.g.contain(w.body, w.slots.At(w.vpn, i, w.cfg.Tracker), node, w.cfg.Metrics)
 	if !ok {
 		return false
 	}
-	w.log = append(w.log, i)
+	w.owed = none
+	w.executed++
 	if tr != nil {
 		obs.Span(tr, ts, "iter", w.method, w.vpn, map[string]any{"i": i})
 	}
@@ -334,7 +304,7 @@ func General1Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (R
 		bound = int(^uint(0) >> 1) // effectively unbounded; nil ends it
 	}
 	r := newRun(ctx, "general-1", body, cfg, bound)
-	runErr := r.each(ctx, 0, func(w *worker) {
+	runErr := r.each(ctx, func(w *worker) {
 		for {
 			mu.Lock()
 			if r.g.stop.Load() || cur == nil || idx >= bound || idx > r.quit.get() {
@@ -357,7 +327,7 @@ func General1Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (R
 	if valid >= bound {
 		valid = idxClamp(idx, bound)
 	}
-	return r.result(valid, runErr)
+	return r.result(valid, idx, runErr)
 }
 
 func idxClamp(n, bound int) int {
@@ -386,7 +356,11 @@ func General2Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (R
 	p := cfg.procs()
 	n := list.Len(head) // headers walk; counted as hops below per processor
 	r := newRun(ctx, "general-2", body, cfg, n)
-	runErr := r.each(ctx, n/p+1, func(w *worker) {
+	// Worker k owns iterations k, k+p, ...: until it runs, it owes k.
+	for vpn := range r.owed {
+		r.owed[vpn] = vpn
+	}
+	runErr := r.each(ctx, func(w *worker) {
 		pt := head
 		// Initial advance to this processor's first iteration.
 		for j := 0; j < w.vpn && pt != nil; j++ {
@@ -394,6 +368,7 @@ func General2Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (R
 			w.hops++
 		}
 		for i := w.vpn; pt != nil; i += p {
+			w.owed = i
 			if r.g.stop.Load() {
 				return
 			}
@@ -410,7 +385,7 @@ func General2Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (R
 			}
 		}
 	})
-	return r.result(r.quit.get(), runErr)
+	return r.result(r.quit.get(), none, runErr)
 }
 
 // General3 runs the loop with dynamic assignment and private cursors
@@ -441,7 +416,7 @@ func General3Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (R
 		_    [64]byte
 	}
 	r := newRun(ctx, "general-3", body, cfg, bound)
-	runErr := r.each(ctx, bound/cfg.procs()+1, func(w *worker) {
+	runErr := r.each(ctx, func(w *worker) {
 		pt := head
 		prev := 0 // pt currently points at iteration index `prev`
 		for {
@@ -472,5 +447,5 @@ func General3Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (R
 			}
 		}
 	})
-	return r.result(r.quit.get(), runErr)
+	return r.result(r.quit.get(), idxClamp(int(claim.next.Load()), bound), runErr)
 }

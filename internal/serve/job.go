@@ -167,6 +167,7 @@ type job struct {
 	id      string
 	seq     uint64
 	spec    JobSpec
+	key     string            // the profile the job's loop learns under (profileKey)
 	prog    *frontend.Program // compiled at submit (Kind "while")
 	native  NativeFunc        // resolved at submit (Kind "native")
 	metrics *obs.Metrics

@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"runtime"
 	"sort"
@@ -77,7 +78,8 @@ type Config struct {
 	// aggregate, so /metrics stays monotonic.  Default 256.
 	RetainDone int
 	// Profiles, if non-nil, is shared across jobs so adaptive strategy
-	// selection warms up across requests with the same Options.Key.
+	// selection warms up across requests for the same loop: the same
+	// native, or the same .while program with the same MaxIter.
 	Profiles *autotune.ProfileStore
 	// Now injects a clock for tests.  Default time.Now.
 	Now func() time.Time
@@ -184,6 +186,21 @@ func compileWhile(spec JobSpec) (*frontend.Program, error) {
 	return prog, nil
 }
 
+// profileKey names the profile a job's loop learns under.  A native is
+// its registered name.  A .while job is its program: core's call-site
+// key cannot tell one interpreted loop from another — they all enter
+// through the same line of this package — so the key is a hash of the
+// source text and the iteration bound, the two things that make two
+// submissions the same loop.
+func profileKey(spec JobSpec) string {
+	if spec.Kind != "while" {
+		return spec.Native
+	}
+	h := fnv.New64a()
+	_, _ = io.WriteString(h, spec.Program) // a hash.Hash never fails a write
+	return fmt.Sprintf("while:%016x:%d", h.Sum64(), spec.MaxIter)
+}
+
 // Submit admits a job.  The program is compiled (or the native looked
 // up) before any admission gate, so a malformed spec always reports
 // ErrBadSpec rather than consuming rate-limit tokens.  On success the
@@ -230,6 +247,7 @@ func (s *Scheduler) Submit(spec JobSpec) (string, error) {
 		id:        fmt.Sprintf("j%d", s.seq),
 		seq:       s.seq,
 		spec:      spec,
+		key:       profileKey(spec),
 		prog:      prog,
 		native:    native,
 		metrics:   obs.NewMetrics(),
@@ -332,7 +350,7 @@ func (s *Scheduler) runJob(j *job) (outcome, bool) {
 		Workers:  s.pool,
 		Metrics:  j.metrics,
 		Profiles: s.cfg.Profiles,
-		Key:      j.spec.Native, // "" for while jobs; harmless without Profiles
+		Key:      j.key,
 	}
 
 	// The runtime converts worker panics to cancel.PanicError, but a

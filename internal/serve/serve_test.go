@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"whilepar/internal/autotune"
 	"whilepar/internal/cancel"
 	"whilepar/internal/core"
 	"whilepar/internal/loopir"
@@ -474,5 +475,86 @@ func TestNativeRegistry(t *testing.T) {
 	}
 	if _, ok := LookupNative(fmt.Sprintf("reg-%d", 99)); ok {
 		t.Fatal("LookupNative on unknown name = true")
+	}
+}
+
+// Two different .while programs must learn under two profiles, and two
+// submissions of the same one under one: core's call-site key sees
+// every interpreted loop enter through the same line of this package.
+func TestWhileJobsLearnPerProgram(t *testing.T) {
+	const other = `
+	while (i < n) {
+		b[i] = a[i] * a[i]
+		i = i + 1
+	}`
+	store := autotune.NewProfileStore()
+	s := newTestScheduler(t, Config{Procs: 2, MaxInFlight: 1, Profiles: store})
+	for _, spec := range []JobSpec{
+		{Kind: "while", Program: testProgram, MaxIter: 512},
+		{Kind: "while", Program: other, MaxIter: 512},
+		{Kind: "while", Program: testProgram, MaxIter: 512},
+		{Kind: "while", Program: testProgram, MaxIter: 256}, // another bound: another loop
+	} {
+		id, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitDone(t, s, id); st.State != "done" {
+			t.Fatalf("status %+v", st)
+		}
+	}
+	if store.Len() != 3 {
+		t.Fatalf("%d profiles for three distinct loops", store.Len())
+	}
+	twice, ok := store.Lookup(profileKey(JobSpec{Kind: "while", Program: testProgram, MaxIter: 512}))
+	if !ok || twice.Runs != 2 {
+		t.Fatalf("the program submitted twice has profile %+v (found %v), want 2 runs", twice, ok)
+	}
+	if _, ok := store.Lookup("unknown"); ok {
+		t.Fatal("a while job still learned under the call-site fallback key")
+	}
+}
+
+// A running job pinned to the sequential strategy must stop when it is
+// canceled or its deadline passes: the explicit sequential path used to
+// ignore its context altogether.
+func TestSequentialJobObservesCancelAndDeadline(t *testing.T) {
+	started := make(chan struct{}, 2)
+	RegisterNative("seq-slow", func(ctx context.Context, opt core.Options, args map[string]float64) (core.Report, error) {
+		first := true
+		return core.RunInductionCtx(ctx, &loopir.Loop[int]{
+			Class: loopir.Class{Dispatcher: loopir.MonotonicInduction, Terminator: loopir.RI},
+			Disp:  loopir.IntInduction{C: 1},
+			Body: func(it *loopir.Iter, d int) bool {
+				if first {
+					first = false
+					started <- struct{}{}
+				}
+				time.Sleep(100 * time.Microsecond)
+				return true
+			},
+			Max: 1 << 30, // days of it
+		}, opt)
+	})
+	s := newTestScheduler(t, Config{Procs: 2, MaxInFlight: 2})
+
+	id, err := s.Submit(JobSpec{Kind: "native", Native: "seq-slow", Strategy: "sequential"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if err := s.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, s, id); st.State != "canceled" || st.ErrorKind != "canceled" {
+		t.Fatalf("canceled sequential job: %+v", st)
+	}
+
+	id, err = s.Submit(JobSpec{Kind: "native", Native: "seq-slow", Strategy: "sequential", DeadlineMs: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, s, id); st.State != "failed" || st.ErrorKind != "deadline" {
+		t.Fatalf("sequential job past its deadline: %+v", st)
 	}
 }

@@ -31,6 +31,10 @@ type StripReport struct {
 	// Done reports whether the loop terminated within the bound (vs
 	// exhausting Total iterations).
 	Done bool
+	// Demoted reports that a StripController gave up on speculation
+	// (RunTunedCtx only): Valid is the committed prefix, the loop has
+	// not terminated, and the iterations from there on have not run.
+	Demoted bool
 	// Tier is the validation tier the run was granted at entry (after
 	// engine clamping); TierDemoted reports a mid-run fall back to
 	// TierFull after a real violation or audit failure.

@@ -305,10 +305,10 @@ func TestTierClampedBySparseUndo(t *testing.T) {
 // fixedCtl is a minimal StripController: constant strip, no switches.
 type fixedCtl struct{ strip int }
 
-func (c fixedCtl) NextStrip(done, total int) int             { return c.strip }
-func (c fixedCtl) Observe(lo, valid, hi int, committed bool) {}
-func (c fixedCtl) SwitchPipeline() bool                      { return false }
-func (c fixedCtl) SwitchSequential() bool                    { return false }
+func (c fixedCtl) NextStrip(done, total int) int                       { return c.strip }
+func (c fixedCtl) Observe(lo, valid, hi int, committed bool, ns int64) {}
+func (c fixedCtl) SwitchPipeline() bool                                { return false }
+func (c fixedCtl) SwitchSequential() bool                              { return false }
 
 // TestTunedTierSignature: the tuned engine honors the tier through the
 // same runtime, and a violation still demotes and commits exactly.

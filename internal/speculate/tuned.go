@@ -3,6 +3,7 @@ package speculate
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"whilepar/internal/cancel"
 )
@@ -20,14 +21,18 @@ type StripController interface {
 	// NextStrip returns the strip size to use for the strip starting
 	// at iteration done of total.  Values are clamped to [1, total-done].
 	NextStrip(done, total int) int
-	// Observe reports the strip [lo, hi): valid iterations within it
-	// and whether it committed cleanly (PD passed, no exception).
-	Observe(lo, valid, hi int, committed bool)
+	// Observe reports the strip [lo, hi): valid iterations within it,
+	// whether it committed cleanly (PD passed, no exception), and the
+	// wall time it took in nanoseconds, a rewind and sequential
+	// re-execution included.
+	Observe(lo, valid, hi int, committed bool, ns int64)
 	// SwitchPipeline asks to hand the remainder to the pipelined
 	// engine (ignored while the speculation mode cannot be squashed —
 	// sparse undo or privatized copies).
 	SwitchPipeline() bool
-	// SwitchSequential asks to finish the remainder sequentially.
+	// SwitchSequential asks to stop speculating: the engine returns at
+	// the committed boundary with StripReport.Demoted set, and the
+	// caller completes the loop sequentially.
 	SwitchSequential() bool
 }
 
@@ -35,7 +40,10 @@ type StripController interface {
 // itself, under a controller's mid-run authority: each strip's size
 // comes from ctl.NextStrip, each verdict feeds ctl.Observe, and at
 // every strip boundary the controller may promote the remainder to the
-// pipelined engine or demote it to sequential completion.  Iterations
+// pipelined engine or give up on speculation — the engine then returns
+// the committed prefix with StripReport.Demoted set and leaves the
+// remainder to the caller, whose sequential executor observes the
+// context and contains panics where a StripSeq cannot.  Iterations
 // below start are treated as already committed (the orchestrator's
 // sequential probe); stamps and PD marks carry global indices
 // throughout, exactly as in RunStrippedCtx.
@@ -81,11 +89,12 @@ func RunTunedCtx(ctx context.Context, spec Spec, start, total int, ctl StripCont
 		if hi > total {
 			hi = total
 		}
+		t0 := time.Now()
 		valid, committed, stop, err := rt.step(lo, hi, par, seq)
 		if err != nil {
 			return rep, err
 		}
-		ctl.Observe(lo, valid, hi, committed)
+		ctl.Observe(lo, valid, hi, committed, time.Since(t0).Nanoseconds())
 		if stop {
 			return rep, nil
 		}
@@ -95,14 +104,8 @@ func RunTunedCtx(ctx context.Context, spec Spec, start, total int, ctl StripCont
 		}
 		if ctl.SwitchSequential() {
 			// The controller gave up on speculation: the committed
-			// prefix is final, the remainder runs on this goroutine.
-			// Its writes bypass the (released) checkpoint, which is
-			// exactly the stripped protocol's sequential-fallback
-			// contract.
-			rep.SeqStrips++
-			sv, sdone := seq(lo, total)
-			rep.Valid += sv
-			rep.Done = sdone
+			// prefix is final and the remainder is the caller's.
+			rep.Demoted = true
 			return rep, nil
 		}
 		if pipelineOK && ctl.SwitchPipeline() {

@@ -21,7 +21,7 @@ type fakeController struct {
 
 func (f *fakeController) NextStrip(done, total int) int { return f.strip }
 
-func (f *fakeController) Observe(lo, valid, hi int, committed bool) {
+func (f *fakeController) Observe(lo, valid, hi int, committed bool, ns int64) {
 	f.observed++
 	if committed {
 		f.committed++
@@ -102,8 +102,9 @@ func TestRunTunedViolationFallsBackPerStrip(t *testing.T) {
 }
 
 func TestRunTunedSequentialDemotion(t *testing.T) {
-	// After the controller demotes, the remainder runs through the
-	// sequential runner in one go.
+	// After the controller demotes, the engine hands the remainder
+	// back: the committed prefix stands, nothing beyond it has run, and
+	// the caller's sequential pass from there completes the loop.
 	n := 500
 	a := mem.NewArray("A", n)
 	par, seq := stripLoop(a, -1, 0, 0)
@@ -113,11 +114,12 @@ func TestRunTunedSequentialDemotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Valid != n {
-		t.Fatalf("report %+v", rep)
+	if !rep.Demoted || rep.Done || rep.Valid != 100 || rep.Strips != 2 || rep.SeqStrips != 0 {
+		t.Fatalf("want 2 speculative strips and the remainder handed back, got %+v", rep)
 	}
-	if rep.Strips != 2 || rep.SeqStrips != 1 {
-		t.Fatalf("want 2 speculative strips then one sequential tail, got %+v", rep)
+	expectState(t, a, 100)
+	if v, done := seq(rep.Valid, n); v != n-rep.Valid || done {
+		t.Fatalf("sequential tail ran %d iterations (done %v), want %d", v, done, n-rep.Valid)
 	}
 	expectState(t, a, n)
 }
