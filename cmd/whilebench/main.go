@@ -16,143 +16,37 @@
 //	                           # print its runtime counters
 //	whilebench -trace out.json # same demo, writing a Chrome trace
 //	                           # (open in chrome://tracing or Perfetto)
-//	whilebench -membench       # stamped-store microbenchmark: atomic
-//	                           # baseline vs sharded vs sharded+batched
-//	whilebench -membench -json # same, as machine-readable JSON
-//	                           # (the Makefile bench target's BENCH_2.json)
-//	whilebench -membench -journal element
-//	                           # same workload on the retained element-
-//	                           # journal layout instead of the packed
-//	                           # block journal (also valid for -pipebench)
-//	whilebench -journalbench   # journal-layout A/B: block vs element on
-//	                           # the stamped-store workload (BENCH_8.json
-//	                           # with -json; guarded via -baseline)
-//	whilebench -recbench       # misspeculation-recovery benchmark:
-//	                           # partial commit vs full restore on a
-//	                           # late-violation loop (BENCH_3.json with
-//	                           # -json)
-//	whilebench -pipebench      # pipelined-pool benchmark: persistent
-//	                           # worker pool + overlapped strips vs
-//	                           # spawn-per-strip (BENCH_4.json with -json)
-//	whilebench -membench -baseline BENCH_2.json -tol 0.2
-//	                           # regression guard: rerun and fail (exit 1)
-//	                           # if a machine-independent ratio fell more
-//	                           # than 20% below the recorded baseline;
-//	                           # same for -recbench with BENCH_3.json and
-//	                           # -pipebench with BENCH_4.json
-//	whilebench -sigbench       # validation-tier benchmark: Tier-1 hash
-//	                           # signatures and Tier-2 trusted strips vs
-//	                           # the Tier-0 element-wise oracle and an
-//	                           # uninstrumented DOALL (BENCH_9.json with
-//	                           # -json; guarded via -baseline)
-//	whilebench -cancelbench    # cancellation-latency benchmark: time
-//	                           # from ctx cancel to engine return for
-//	                           # each context-aware engine
-//	whilebench -autobench      # adaptive-selector benchmark: defaulted
-//	                           # Options vs a hand-tuned config grid on
-//	                           # three workload regimes (BENCH_7.json
-//	                           # with -json; guarded via -baseline)
-//	whilebench -pipebench -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
-//	                           # write pprof CPU/heap profiles of the run
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"whilepar"
 	"whilepar/internal/bench"
 )
 
-// main defers to run so the pprof defers (and any other cleanup) flush
-// before the process exits — os.Exit would skip them.
 func main() {
 	os.Exit(run())
 }
 
 func run() int {
 	var (
-		all         = flag.Bool("all", false, "regenerate every table, figure and ablation")
-		table1      = flag.Bool("table1", false, "print Table 1 (taxonomy)")
-		table2      = flag.Bool("table2", false, "print Table 2 (experimental summary)")
-		fig         = flag.Int("fig", 0, "print one figure (6..14)")
-		costmodel   = flag.Bool("costmodel", false, "print the Section 7 worst-case sweep")
-		ablations   = flag.Bool("ablations", false, "print the design-choice ablations")
-		verify      = flag.Bool("verify", false, "validate transformations on the goroutine backend")
-		procs       = flag.Int("procs", 8, "virtual processors for -verify and the -metrics/-trace demo")
-		metrics     = flag.Bool("metrics", false, "run the instrumented speculative demo and print its counters")
-		trace       = flag.String("trace", "", "write the demo's Chrome trace-event JSON to this file")
-		plot        = flag.Bool("plot", false, "render figures as text charts instead of tables")
-		gantt       = flag.Bool("gantt", false, "render the General-1 vs General-3 schedules as Gantt charts")
-		membench    = flag.Bool("membench", false, "run the stamped-store microbenchmark (atomic vs sharded vs batched)")
-		journalMode = flag.String("journal", "block", "tsmem journal layout for -membench/-pipebench: block (packed, default) or element (oracle)")
-		jrnbench    = flag.Bool("journalbench", false, "run the journal-layout A/B benchmark (block vs element on the stamped-store workload)")
-		jsonOut     = flag.Bool("json", false, "emit -membench/-recbench results as machine-readable JSON")
-		elems       = flag.Int("elems", 1<<20, "elements in the -membench array")
-		rounds      = flag.Int("rounds", 32, "store rounds in -membench")
-		recbench    = flag.Bool("recbench", false, "run the misspeculation-recovery benchmark (partial commit vs full restore)")
-		iters       = flag.Int("iters", 100000, "iterations in the -recbench loop")
-		work        = flag.Int("work", 600, "per-iteration spin units in -recbench (0 = auto-calibrate to ~2µs/iter)")
-		pipebench   = flag.Bool("pipebench", false, "run the pipelined-pool benchmark (persistent pool + overlap vs spawn-per-strip)")
-		cancelbench = flag.Bool("cancelbench", false, "run the cancellation-latency benchmark (cancel-to-return per engine)")
-		autobench   = flag.Bool("autobench", false, "run the adaptive-selector benchmark (defaulted Options vs hand-tuned grid)")
-		autoIters   = flag.Int("autoiters", 60000, "iterations in the -autobench loops")
-		autoWork    = flag.Int("autowork", 300, "per-iteration spin units in -autobench (0 = auto-calibrate to ~2µs/iter)")
-		cancelIters = flag.Int("canceliters", 200000, "iterations in the -cancelbench loop")
-		cancelWork  = flag.Int("cancelwork", 200, "per-iteration spin units in -cancelbench")
-		strip       = flag.Int("strip", 64, "strip size in -pipebench")
-		pipeIters   = flag.Int("pipeiters", 16384, "iterations in the -pipebench loop")
-		pipeWork    = flag.Int("pipework", 200, "per-iteration spin units in -pipebench (0 = auto-calibrate to ~2µs/iter)")
-		sigbench    = flag.Bool("sigbench", false, "run the validation-tier benchmark (signature/trusted tiers vs the element-wise oracle)")
-		sigIters    = flag.Int("sigiters", 32768, "iterations in the -sigbench loop")
-		sigStrip    = flag.Int("sigstrip", 1024, "strip size in -sigbench (snapped to the 64*procs signature grain)")
-		sigWork     = flag.Int("sigwork", 0, "per-iteration spin units in -sigbench (0 = auto-calibrate to ~2µs/iter)")
-		baseline    = flag.String("baseline", "", "recorded JSON baseline to guard -membench/-recbench/-pipebench against")
-		tol         = flag.Float64("tol", 0.2, "relative tolerance for the -baseline regression guard")
-		cpuProf     = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf     = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		all       = flag.Bool("all", false, "regenerate every table, figure and ablation")
+		table1    = flag.Bool("table1", false, "print Table 1 (taxonomy)")
+		table2    = flag.Bool("table2", false, "print Table 2 (experimental summary)")
+		fig       = flag.Int("fig", 0, "print one figure (6..14)")
+		costmodel = flag.Bool("costmodel", false, "print the Section 7 worst-case sweep")
+		ablations = flag.Bool("ablations", false, "print the design-choice ablations")
+		verify    = flag.Bool("verify", false, "validate transformations on the goroutine backend")
+		procs     = flag.Int("procs", 8, "virtual processors for -verify and the -metrics/-trace demo")
+		metrics   = flag.Bool("metrics", false, "run the instrumented speculative demo and print its counters")
+		trace     = flag.String("trace", "", "write the demo's Chrome trace-event JSON to this file")
+		plot      = flag.Bool("plot", false, "render figures as text charts instead of tables")
+		gantt     = flag.Bool("gantt", false, "render the General-1 vs General-3 schedules as Gantt charts")
 	)
 	flag.Parse()
-
-	journal, err := bench.ParseJournalMode(*journalMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "whilebench:", err)
-		return 2
-	}
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "whilebench:", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "whilebench:", err)
-			f.Close()
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whilebench:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the profile shows live heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "whilebench:", err)
-			}
-		}()
-	}
 
 	ran := false
 	if *all || *table1 {
@@ -234,212 +128,11 @@ func run() int {
 		}
 		ran = true
 	}
-	if *membench {
-		rep := bench.MemBenchJournal(*procs, *elems, *rounds, journal)
-		if *jsonOut {
-			out, err := bench.MemBenchJSON(rep)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whilebench:", err)
-				return 1
-			}
-			fmt.Println(string(out))
-		} else {
-			fmt.Print(bench.RenderMemBench(rep))
-		}
-		if *baseline != "" {
-			base, err := readBaseline(*baseline, bench.ParseMemBench)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whilebench:", err)
-				return 1
-			}
-			if c := guard(bench.CompareMemBench(rep, base, *tol), *baseline, *tol); c != 0 {
-				return c
-			}
-		}
-		ran = true
-	}
-	if *recbench {
-		if *work == 0 {
-			*work = bench.CalibrateWork(bench.DefaultBodyTarget)
-			fmt.Fprintf(os.Stderr, "whilebench: calibrated -work %d (~%v body per iteration)\n",
-				*work, bench.DefaultBodyTarget)
-		}
-		rep := bench.RecBench(*procs, *iters, *work)
-		if *jsonOut {
-			out, err := bench.RecBenchJSON(rep)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whilebench:", err)
-				return 1
-			}
-			fmt.Println(string(out))
-		} else {
-			fmt.Print(bench.RenderRecBench(rep))
-		}
-		if *baseline != "" {
-			base, err := readBaseline(*baseline, bench.ParseRecBench)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whilebench:", err)
-				return 1
-			}
-			if c := guard(bench.CompareRecBench(rep, base, *tol), *baseline, *tol); c != 0 {
-				return c
-			}
-		}
-		ran = true
-	}
-	if *pipebench {
-		if *pipeWork == 0 {
-			*pipeWork = bench.CalibrateWork(bench.DefaultBodyTarget)
-			fmt.Fprintf(os.Stderr, "whilebench: calibrated -pipework %d (~%v body per iteration)\n",
-				*pipeWork, bench.DefaultBodyTarget)
-		}
-		rep := bench.PipeBenchJournal(*procs, *pipeIters, *strip, *pipeWork, journal)
-		if *jsonOut {
-			out, err := bench.PipeBenchJSON(rep)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whilebench:", err)
-				return 1
-			}
-			fmt.Println(string(out))
-		} else {
-			fmt.Print(bench.RenderPipeBench(rep))
-		}
-		if *baseline != "" {
-			base, err := readBaseline(*baseline, bench.ParsePipeBench)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whilebench:", err)
-				return 1
-			}
-			if c := guard(bench.ComparePipeBench(rep, base, *tol), *baseline, *tol); c != 0 {
-				return c
-			}
-		}
-		ran = true
-	}
-	if *sigbench {
-		if *sigWork == 0 {
-			*sigWork = bench.CalibrateWork(bench.DefaultBodyTarget)
-			fmt.Fprintf(os.Stderr, "whilebench: calibrated -sigwork %d (~%v body per iteration)\n",
-				*sigWork, bench.DefaultBodyTarget)
-		}
-		rep := bench.SigBench(*procs, *sigIters, *sigStrip, *sigWork)
-		if *jsonOut {
-			out, err := bench.SigBenchJSON(rep)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whilebench:", err)
-				return 1
-			}
-			fmt.Println(string(out))
-		} else {
-			fmt.Print(bench.RenderSigBench(rep))
-		}
-		if *baseline != "" {
-			base, err := readBaseline(*baseline, bench.ParseSigBench)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whilebench:", err)
-				return 1
-			}
-			if c := guard(bench.CompareSigBench(rep, base, *tol), *baseline, *tol); c != 0 {
-				return c
-			}
-		}
-		ran = true
-	}
-	if *jrnbench {
-		rep := bench.JournalBench(*procs, *elems, *rounds)
-		if *jsonOut {
-			out, err := bench.JournalBenchJSON(rep)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whilebench:", err)
-				return 1
-			}
-			fmt.Println(string(out))
-		} else {
-			fmt.Print(bench.RenderJournalBench(rep))
-		}
-		if *baseline != "" {
-			base, err := readBaseline(*baseline, bench.ParseJournalBench)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whilebench:", err)
-				return 1
-			}
-			if c := guard(bench.CompareJournalBench(rep, base, *tol), *baseline, *tol); c != 0 {
-				return c
-			}
-		}
-		ran = true
-	}
-	if *autobench {
-		if *autoWork == 0 {
-			*autoWork = bench.CalibrateWork(bench.DefaultBodyTarget)
-			fmt.Fprintf(os.Stderr, "whilebench: calibrated -autowork %d (~%v body per iteration)\n",
-				*autoWork, bench.DefaultBodyTarget)
-		}
-		rep := bench.AutoBench(*procs, *autoIters, *autoWork)
-		if *jsonOut {
-			out, err := bench.AutoBenchJSON(rep)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whilebench:", err)
-				return 1
-			}
-			fmt.Println(string(out))
-		} else {
-			fmt.Print(bench.RenderAutoBench(rep))
-		}
-		if *baseline != "" {
-			base, err := readBaseline(*baseline, bench.ParseAutoBench)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whilebench:", err)
-				return 1
-			}
-			if c := guard(bench.CompareAutoBench(rep, base, *tol), *baseline, *tol); c != 0 {
-				return c
-			}
-		}
-		ran = true
-	}
-	if *cancelbench {
-		rep := bench.CancelBench(*procs, *cancelIters, *strip, *cancelWork)
-		if *jsonOut {
-			out, err := bench.CancelBenchJSON(rep)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whilebench:", err)
-				return 1
-			}
-			fmt.Println(string(out))
-		} else {
-			fmt.Print(bench.RenderCancelBench(rep))
-		}
-		ran = true
-	}
 	if !ran {
 		flag.Usage()
 		return 2
 	}
 	return 0
-}
-
-// readBaseline loads and decodes a recorded benchmark baseline.
-func readBaseline[T any](path string, parse func([]byte) (T, error)) (T, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return parse(data)
-}
-
-// guard prints regression messages and returns 1 if there are any (the
-// caller propagates the exit code so deferred cleanup still runs).
-func guard(regs []string, baseline string, tol float64) int {
-	if len(regs) == 0 {
-		fmt.Printf("bench guard: within %.0f%% of %s\n", tol*100, baseline)
-		return 0
-	}
-	for _, r := range regs {
-		fmt.Fprintln(os.Stderr, "REGRESSION:", r)
-	}
-	return 1
 }
 
 // obsDemo runs an instrumented speculative execution through the public

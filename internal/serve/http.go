@@ -7,6 +7,11 @@ import (
 	"time"
 )
 
+// maxJobBody caps a POST /v1/jobs body, so that one client cannot make
+// the decoder buffer an unbounded program; real JobSpecs are far below
+// it.
+const maxJobBody = 1 << 20
+
 // NewHandler wires the Scheduler into an http.Handler:
 //
 //	POST   /v1/jobs           submit a JobSpec  -> 202 {"id": "..."}
@@ -20,13 +25,18 @@ import (
 //
 // Admission failures map onto status codes: ErrRateLimited -> 429,
 // ErrQueueFull and ErrClosed -> 503 (with Retry-After), ErrBadSpec ->
-// 400.
+// 400, a submit body over maxJobBody -> 413.
 func NewHandler(s *Scheduler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody)).Decode(&spec); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, code, err)
 			return
 		}
 		id, err := s.Submit(spec)

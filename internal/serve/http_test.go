@@ -86,6 +86,25 @@ func TestHTTPSubmitAndStatus(t *testing.T) {
 	}
 }
 
+func TestHTTPOversizedBody413(t *testing.T) {
+	s := newTestScheduler(t, Config{Procs: 2, MaxInFlight: 1})
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+
+	before := s.Stats()
+	resp, out := postJob(t, srv, JobSpec{Kind: "while", Program: strings.Repeat(" ", maxJobBody) + testProgram})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: %d %v", resp.StatusCode, out)
+	}
+	if got := s.Stats(); got != before {
+		t.Fatalf("rejected body reached the scheduler: %+v, was %+v", got, before)
+	}
+	resp, out = postJob(t, srv, JobSpec{Kind: "while", Program: testProgram, MaxIter: 16})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after 413: %d %v", resp.StatusCode, out)
+	}
+}
+
 func TestHTTPRateLimit429(t *testing.T) {
 	var mu sync.Mutex
 	now := time.Unix(2000, 0)

@@ -185,36 +185,6 @@ func TestRunStrippedCtxPanicFallbackStaysLocal(t *testing.T) {
 	expectState(t, a, n)
 }
 
-func TestRunRecoveringCtxCancelReturnsPosition(t *testing.T) {
-	n := 100
-	a := mem.NewArray("A", n)
-	ctx, stop := context.WithCancel(context.Background())
-	calls := 0
-	par := func(tr mem.Tracker, lo, hi int) (int, bool, error) {
-		calls++
-		if calls == 1 {
-			// First window: complete 30 iterations and QUIT-free stop
-			// via a short valid count so the engine continues.
-			for i := lo; i < lo+30; i++ {
-				tr.Store(a, i, float64(i+1), i, 0)
-			}
-			stop()
-			return 30, false, cancel.Wrap(ctx.Err())
-		}
-		t.Fatal("no window may start after cancellation")
-		return 0, false, nil
-	}
-	seq := func(lo, hi int) (int, bool) { t.Fatal("no sequential completion on cancel"); return 0, false }
-	rep, err := RunRecoveringCtx(ctx, Spec{Procs: 2, Shared: []*mem.Array{a}}, n, par, seq)
-	if !errors.Is(err, cancel.ErrCanceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if rep.Valid != 0 {
-		t.Fatalf("canceled window must be rewound entirely: %+v", rep)
-	}
-	expectState(t, a, 0)
-}
-
 func TestRunWindowedCtxCancelAtBoundary(t *testing.T) {
 	ctx, stop := context.WithCancel(context.Background())
 	stop()

@@ -35,7 +35,7 @@ type pipeGen struct {
 }
 
 func newPipeGen(spec Spec, procs int) *pipeGen {
-	g := &pipeGen{ts: spec.newMemory(procs),
+	g := &pipeGen{ts: tsmem.NewSharded(procs, spec.Shared...),
 		pend: make([][]int, len(spec.Shared)), arming: make([][]int, len(spec.Shared))}
 	g.ts.SetObs(spec.Metrics, spec.Tracer)
 	for _, a := range spec.Tested {

@@ -1,14 +1,6 @@
 package speculate
 
-import (
-	"context"
-	"fmt"
-
-	"whilepar/internal/cancel"
-	"whilepar/internal/costmodel"
-	"whilepar/internal/obs"
-	"whilepar/internal/pdtest"
-)
+import "whilepar/internal/costmodel"
 
 // Recovery configures partial-commit misspeculation recovery.
 //
@@ -50,251 +42,4 @@ func (r Recovery) maxRounds() int {
 		return r.MaxRounds
 	}
 	return DefaultMaxRespecRounds
-}
-
-// RecoveryReport describes a RunRecovering execution.
-type RecoveryReport struct {
-	// Valid is the global number of valid iterations.
-	Valid int
-	// Rounds counts windows that failed validation and triggered a
-	// partial commit + re-speculation (or a sequential window).
-	Rounds int
-	// PrefixCommitted is the number of iterations salvaged from failed
-	// windows by partial commits.
-	PrefixCommitted int
-	// Undone counts locations restored (suffix undos and overshoot).
-	Undone int
-	// SeqIters counts iterations executed by the sequential runner.
-	SeqIters int
-	// Done reports whether the termination condition was met within the
-	// bound.
-	Done bool
-}
-
-// RunRecovering is the adaptive partial-commit speculation engine: the
-// iteration space is executed window by window (like RunStripped), but
-// a failed PD test no longer forfeits the window.  The engine commits
-// the prefix below the earliest violating iteration, rewinds only the
-// suffix's stamped stores, and re-speculates from the violation point
-// with a window the costmodel.RespecPolicy halves on every violation
-// and doubles back on every clean run.  After Recovery.MaxRounds failed
-// rounds the remainder runs sequentially.  With Recovery.Enabled false
-// it degenerates to per-window all-or-nothing fallback (the baseline
-// protocol, kept for comparison like tsmem.NewAtomic).
-//
-// RunRecovering is RunRecoveringCtx under context.Background().
-func RunRecovering(spec Spec, total int, par StripPar, seq StripSeq) (RecoveryReport, error) {
-	return RunRecoveringCtx(context.Background(), spec, total, par, seq)
-}
-
-// RunRecoveringCtx is the adaptive engine under a context.  The window
-// boundary is the cancellation point: once ctx is done no further
-// window starts and the report carries the committed position as Valid
-// together with ErrCanceled/ErrDeadline.  A cancellation (or a
-// contained panic with Spec.PanicFallback unset) surfaced by the window
-// runner rewinds the current window before unwinding; neither triggers
-// the sequential completion path.
-func RunRecoveringCtx(ctx context.Context, spec Spec, total int, par StripPar, seq StripSeq) (RecoveryReport, error) {
-	if par == nil || seq == nil {
-		return RecoveryReport{}, fmt.Errorf("speculate: both strip runners are required")
-	}
-	if total < 0 {
-		return RecoveryReport{}, fmt.Errorf("speculate: negative iteration bound %d", total)
-	}
-	procs := spec.Procs
-	if procs < 1 {
-		procs = 1
-	}
-	if spec.SparseUndo {
-		return RecoveryReport{}, fmt.Errorf("speculate: RunRecovering requires the dense stamped path (no SparseUndo)")
-	}
-	if len(spec.Privatized) > 0 {
-		return RecoveryReport{}, fmt.Errorf("speculate: RunRecovering does not support privatized arrays")
-	}
-
-	mx, tr := spec.Metrics, spec.Tracer
-	policy := spec.Recovery.Policy
-	if policy == nil {
-		// Default: open with the whole remaining space (one window, like
-		// Run), shrink toward a procs-sized floor on violations.
-		w := total
-		if w < 1 {
-			w = 1
-		}
-		policy = costmodel.NewRespecPolicy(w, procs, w)
-	}
-	maxRounds := spec.Recovery.maxRounds()
-
-	// One memory and one shadow set serve every window, as in
-	// RunStripped: each round pays an epoch bump and a shadow Reset
-	// instead of a fresh allocation and clear, and the buffers return
-	// to the shared arena when the engine does.
-	ts := spec.newMemory(procs)
-	ts.SetObs(mx, tr)
-	var tests []*pdtest.Test
-	for _, a := range spec.Tested {
-		t := pdtest.New(a, procs)
-		t.SetObs(mx, tr)
-		tests = append(tests, t)
-	}
-	defer func() {
-		ts.Release()
-		for _, t := range tests {
-			t.Release()
-		}
-	}()
-	tracker := newFusedTracker(ts, tests)
-
-	// pending carries the previous window's write-set for Rearm's
-	// incremental checkpoint refresh; nil forces a full Checkpoint.
-	var pending [][]int
-
-	var rep RecoveryReport
-	pos := 0
-	for pos < total {
-		if cerr := cancel.Err(ctx); cerr != nil {
-			// Everything below pos is committed; the next window has
-			// not started.
-			mx.CtxCancel()
-			rep.Valid = pos
-			return rep, cerr
-		}
-		// After the round budget is spent, finish sequentially.
-		if rep.Rounds >= maxRounds {
-			v, done := seq(pos, total)
-			rep.SeqIters += v
-			rep.Valid = pos + v
-			rep.Done = done
-			return rep, nil
-		}
-
-		hi := pos + policy.Window()
-		if hi > total {
-			hi = total
-		}
-		mx.SpecAttempt()
-		winStart := obs.Start(tr)
-
-		ts.Rearm(pending)
-		for _, t := range tests {
-			t.Reset()
-		}
-
-		valid, done, err := par(tracker, pos, hi)
-		if spec.wantsUnwind(err) {
-			mx.SpecAbort(fmt.Sprintf("window [%d,%d) unwound: %v", pos, hi, err))
-			if rerr := ts.RestoreAll(); rerr != nil {
-				return rep, rerr
-			}
-			rep.Valid = pos
-			return rep, err
-		}
-		ok := err == nil && valid >= 0 && valid <= hi-pos
-		firstViol := -1
-		if ok {
-			for _, t := range tests {
-				// Stamps and marks carry global iteration indices.
-				r := t.Analyze(pos + valid)
-				if !r.DOALL {
-					ok = false
-					if r.FirstViolation >= 0 && (firstViol < 0 || r.FirstViolation < firstViol) {
-						firstViol = r.FirstViolation
-					}
-				}
-			}
-		}
-
-		if ok {
-			// This window's write-set is the next Rearm's refresh list.
-			pending = ts.WriteSet()
-			if valid < hi-pos || done {
-				undone, uerr := ts.Undo(pos + valid)
-				if uerr != nil {
-					return rep, uerr
-				}
-				rep.Undone += undone
-				done = true
-			}
-			mx.SpecCommit()
-			if tr != nil {
-				obs.Span(tr, winStart, "recovery-window", "speculate", 0,
-					map[string]any{"lo": pos, "hi": hi, "valid": valid, "committed": true})
-			}
-			policy.OnCleanRun(valid)
-			pos += valid
-			if done {
-				rep.Valid = pos
-				rep.Done = true
-				return rep, nil
-			}
-			continue
-		}
-
-		// Misspeculation.  Salvage the prefix below the earliest
-		// violating iteration when there is one; the violation window
-		// itself (or the whole window, on an exception) re-runs
-		// sequentially, and the next parallel window is halved.
-		rep.Rounds++
-		mx.RespecRound()
-		policy.OnViolation()
-		reason := fmt.Sprintf("window [%d,%d) failed validation", pos, hi)
-		if err != nil {
-			reason = fmt.Sprintf("window [%d,%d) exception: %v", pos, hi, err)
-		}
-		mx.SpecAbort(reason)
-
-		if spec.Recovery.Enabled && err == nil && firstViol > pos {
-			restored, perr := ts.PartialCommit(firstViol)
-			if perr != nil {
-				return rep, perr
-			}
-			rep.Undone += restored
-			rep.PrefixCommitted += firstViol - pos
-			mx.PrefixCommittedAdd(firstViol - pos)
-			// PartialCommit re-baselined with an internal full
-			// Checkpoint and cleared the journals, so the checkpoint is
-			// valid and nothing is pending: hand Rearm empty write-sets
-			// (a zero-word refresh) rather than nil, which would force a
-			// second, redundant full copy next round.
-			pending = make([][]int, len(spec.Shared))
-			if tr != nil {
-				obs.Span(tr, winStart, "recovery-window", "speculate", 0,
-					map[string]any{"lo": pos, "hi": hi, "resumeAt": firstViol, "restored": restored})
-			}
-			pos = firstViol
-			// Re-speculate from the violation point with the shrunk
-			// window on the next loop turn.
-			continue
-		}
-
-		// Nothing to salvage (violation at the resume point, recovery
-		// disabled, or an exception): rewind the window and run it
-		// sequentially — one window's worth, not the whole loop.
-		if rerr := ts.RestoreAll(); rerr != nil {
-			return rep, rerr
-		}
-		v, sdone := seq(pos, hi)
-		// Untracked sequential writes: the incremental checkpoint
-		// premise is gone until the next full Checkpoint.
-		ts.InvalidateCheckpoint()
-		pending = nil
-		rep.SeqIters += v
-		if tr != nil {
-			obs.Span(tr, winStart, "recovery-window", "speculate", 0,
-				map[string]any{"lo": pos, "hi": hi, "valid": v, "sequential": true})
-		}
-		pos += v
-		if sdone {
-			rep.Valid = pos
-			rep.Done = true
-			return rep, nil
-		}
-		if pos < hi {
-			// A correct sequential runner either finishes its range or
-			// signals termination; anything else would loop forever.
-			return rep, fmt.Errorf("speculate: sequential runner stopped at %d of [%d,%d) without terminating", pos, pos, hi)
-		}
-	}
-	rep.Valid = pos
-	return rep, nil
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"whilepar/internal/costmodel"
 	"whilepar/internal/mem"
 	"whilepar/internal/obs"
 	"whilepar/internal/sched"
@@ -243,43 +242,15 @@ func TestRunStrippedPartialRecovery(t *testing.T) {
 	}
 }
 
-// TestRunRecoveringAdaptiveEngine drives the dedicated recovery engine
-// over a late violation and checks prefix salvage, window shrinking and
-// equivalence.
-func TestRunRecoveringAdaptiveEngine(t *testing.T) {
-	// Violation at 90% of the space.
-	d := newDepLoop(400, 360, 370, -1)
-	wantState, wantValid := d.oracle()
-	mx := obs.NewMetrics()
-	spec := Spec{
-		Procs: 2, Shared: []*mem.Array{d.a}, Tested: []*mem.Array{d.a},
-		Metrics:  mx,
-		Recovery: Recovery{Enabled: true},
-	}
-	rep, err := RunRecovering(spec, d.n, d.stripPar(2), d.seqRange)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.checkState(t, "recovering", wantState)
-	if rep.Valid != wantValid || !rep.Done == (d.exit >= 0) {
-		t.Fatalf("report %+v, want valid %d", rep, wantValid)
-	}
-	if rep.PrefixCommitted < 360 {
-		t.Fatalf("PrefixCommitted = %d, want >= 360 (the salvaged prefix)", rep.PrefixCommitted)
-	}
-	if rep.Rounds < 1 {
-		t.Fatalf("Rounds = %d, want >= 1", rep.Rounds)
-	}
-	// The sequential tail must be a small fraction of the space.
-	if rep.SeqIters > 80 {
-		t.Fatalf("SeqIters = %d — recovery re-executed too much sequentially", rep.SeqIters)
-	}
-}
-
-// TestRunRecoveringEquivalenceRandomized sweeps random violation
-// positions, window policies and exits through the recovery engine.
-func TestRunRecoveringEquivalenceRandomized(t *testing.T) {
+// TestRunStrippedRecoveryEquivalenceRandomized sweeps random violation
+// positions, strip sizes and exits through the strip engine's
+// partial-commit path: wherever the dependence pair falls relative to
+// the strip boundaries (same strip, straddling, writer at a strip's
+// first iteration, beyond the exit), final state and valid count must
+// equal the sequential oracle's.
+func TestRunStrippedRecoveryEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	salvaged := 0
 	for trial := 0; trial < 40; trial++ {
 		n := rng.Intn(200) + 30
 		w := rng.Intn(n - 1)
@@ -288,24 +259,29 @@ func TestRunRecoveringEquivalenceRandomized(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			exit = rng.Intn(n)
 		}
+		strip := 8 + rng.Intn(n-7)
 		d := newDepLoop(n, w, r, exit)
 		wantState, wantValid := d.oracle()
+		// MaxRounds must not matter here: a strip recovers with one
+		// partial commit and a sequential tail, never a renewed round.
 		spec := Spec{
 			Procs: 1, Shared: []*mem.Array{d.a}, Tested: []*mem.Array{d.a},
-			Recovery: Recovery{
-				Enabled:   true,
-				MaxRounds: rng.Intn(4) + 1,
-				Policy:    costmodel.NewRespecPolicy(rng.Intn(n)+8, 4, n),
-			},
+			Recovery: Recovery{Enabled: true, MaxRounds: rng.Intn(4) + 1},
 		}
-		rep, err := RunRecovering(spec, d.n, d.stripPar(1), d.seqRange)
+		rep, err := RunStripped(spec, d.n, strip, d.stripPar(1), d.seqRange)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.checkState(t, "recovering-rand", wantState)
+		d.checkState(t, "stripped-recovery-rand", wantState)
 		if rep.Valid != wantValid {
-			t.Fatalf("valid = %d, want %d (n=%d w=%d r=%d exit=%d)", rep.Valid, wantValid, n, w, r, exit)
+			t.Fatalf("valid = %d, want %d (n=%d w=%d r=%d exit=%d strip=%d)", rep.Valid, wantValid, n, w, r, exit, strip)
 		}
+		if rep.PrefixCommitted > 0 {
+			salvaged++
+		}
+	}
+	if salvaged == 0 {
+		t.Fatal("no trial took the partial-commit path: the generator went vacuous")
 	}
 }
 

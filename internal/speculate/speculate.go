@@ -60,11 +60,6 @@ type Spec struct {
 	// proportional to the accesses, not the array extents.  Incompatible
 	// with StampThreshold (every store must be logged).
 	SparseUndo bool
-	// Journal selects the dense undo memory's first-touch bookkeeping
-	// layout: the packed block-journal default (tsmem.JournalBlock,
-	// zero value) or the element-journal oracle (tsmem.JournalElement).
-	// Benchmarks A/B the two; production callers leave it zero.
-	Journal tsmem.Journal
 	// Tier selects the strip engines' validation dial (see Tier): the
 	// full element-wise shadow oracle (zero value), Tier-1 hash-
 	// signature validation, or Tier-2 shadow-free trusted execution
@@ -101,14 +96,6 @@ type Spec struct {
 	// the undo memory and the PD tests.
 	Metrics *obs.Metrics
 	Tracer  obs.Tracer
-}
-
-// newMemory builds the spec's dense undo memory over its shared arrays
-// with the selected journal layout — the one constructor every engine
-// (plain, stripped, windowed, pipelined, recovery, tuned) funnels
-// through, so the whilebench -journal A/B flag reaches them all.
-func (s Spec) newMemory(procs int) *tsmem.Memory {
-	return tsmem.NewShardedJournal(procs, s.Journal, s.Shared...)
 }
 
 // wantsUnwind reports whether err must bypass the sequential fallback
@@ -203,7 +190,7 @@ func RunCtx(ctx context.Context, spec Spec, par ParallelRunner, seq SequentialRu
 	var undoer interface {
 		Tracker() mem.Tracker
 	}
-	ts := spec.newMemory(procs)
+	ts := tsmem.NewSharded(procs, spec.Shared...)
 	ts.SetObs(mx, tr)
 	var sp *tsmem.SparseMemory
 	if spec.SparseUndo {
@@ -398,33 +385,24 @@ func snapshots(tests []*pdtest.Test, valid int) []pdtest.Result {
 	return out
 }
 
-// RunTwice implements Section 4's time-stamp-free alternative: run the
-// parallel loop once (with writes, but no stamps) purely to learn the
-// iteration count, restore the checkpoint, then run exactly the valid
-// iterations as a plain DOALL.  It costs a second execution instead of
-// per-write stamps.
+// RunTwiceCtx implements Section 4's time-stamp-free alternative: run
+// the parallel loop once (with writes, but no stamps) purely to learn
+// the iteration count, restore the checkpoint, then run exactly the
+// valid iterations as a plain DOALL.  It costs a second execution
+// instead of per-write stamps.
 //
 // firstRun executes the full speculative space and returns the valid
 // count; secondRun executes exactly [0, valid) with direct memory
-// access.
-func RunTwice(shared []*mem.Array, firstRun func() (int, error), secondRun func(valid int) error) (int, error) {
-	return RunTwiceCtx(context.Background(), shared, 1, obs.Hooks{}, firstRun, secondRun)
-}
-
-// RunTwiceObs is RunTwice with observability hooks and a worker count
-// for the checkpoint/restore copies: the discovery run counts as a
-// speculation attempt, the re-execution as its commit.
-func RunTwiceObs(shared []*mem.Array, procs int, h obs.Hooks, firstRun func() (int, error), secondRun func(valid int) error) (int, error) {
-	return RunTwiceCtx(context.Background(), shared, procs, h, firstRun, secondRun)
-}
-
-// RunTwiceCtx is RunTwice under a context: a cancellation detected
-// before the discovery run, or between the restore and the
-// re-execution, returns ErrCanceled/ErrDeadline with the shared state
-// restored to the checkpoint (valid count 0 — run-twice commits nothing
-// until the second run completes).  Errors from either runner —
-// including cancellation and contained panics the runners surface
-// themselves — propagate unchanged after the restore.
+// access.  procs sizes the checkpoint/restore copies; under h the
+// discovery run counts as a speculation attempt, the re-execution as
+// its commit.
+//
+// A cancellation detected before the discovery run, or between the
+// restore and the re-execution, returns ErrCanceled/ErrDeadline with
+// the shared state restored to the checkpoint (valid count 0 —
+// run-twice commits nothing until the second run completes).  Errors
+// from either runner — including cancellation and contained panics the
+// runners surface themselves — propagate unchanged after the restore.
 func RunTwiceCtx(ctx context.Context, shared []*mem.Array, procs int, h obs.Hooks, firstRun func() (int, error), secondRun func(valid int) error) (int, error) {
 	if err := cancel.Err(ctx); err != nil {
 		h.M.CtxCancel()

@@ -1,12 +1,14 @@
 package speculate
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"whilepar/internal/mem"
+	"whilepar/internal/obs"
 	"whilepar/internal/sched"
 )
 
@@ -290,7 +292,7 @@ func TestRunTwice(t *testing.T) {
 	n := 60
 	a := mem.NewArray("A", n)
 	exit := 25
-	valid, err := RunTwice([]*mem.Array{a},
+	valid, err := RunTwiceCtx(context.Background(), []*mem.Array{a}, 1, obs.Hooks{},
 		func() (int, error) {
 			// First pass: full speculative space, garbage past exit.
 			res := sched.DOALL(n, sched.Options{Procs: 4}, func(i, vpn int) sched.Control {
@@ -324,7 +326,7 @@ func TestRunTwice(t *testing.T) {
 	// First-run error restores and propagates.
 	b := mem.NewArray("B", 4)
 	b.Data[0] = 3
-	_, err = RunTwice([]*mem.Array{b},
+	_, err = RunTwiceCtx(context.Background(), []*mem.Array{b}, 1, obs.Hooks{},
 		func() (int, error) { b.Data[0] = 77; return 0, errors.New("boom") },
 		func(int) error { t.Fatal("second run must not execute"); return nil })
 	if err == nil || b.Data[0] != 3 {

@@ -99,9 +99,8 @@ func (s *sigTracker) StoreRange(a *mem.Array, lo int, src []float64, iter, vpn i
 	s.ts.StampStoreRange(a, lo, src, iter, vpn)
 }
 
-// newTracker is newMemory's twin for the validation side: it builds the
-// signature set the spec's tier needs over every array the loop
-// touches.  Returns nil below TierSignature.
+// newTracker builds the signature set the spec's tier needs over every
+// array the loop touches.  Returns nil below TierSignature.
 func (s Spec) newTracker(procs int) *sig.Sigs {
 	arrs := append([]*mem.Array(nil), s.Shared...)
 	for _, a := range s.Tested {
@@ -175,7 +174,7 @@ func newTierRuntime(spec Spec, procs, start, total int, rep *StripReport) *tierR
 		start: start, total: total,
 		rep: rep,
 	}
-	r.ts = spec.newMemory(procs)
+	r.ts = tsmem.NewSharded(procs, spec.Shared...)
 	r.ts.SetObs(r.mx, r.tr)
 	for _, a := range spec.Tested {
 		t := pdtest.New(a, procs)

@@ -9,6 +9,7 @@ import (
 	"whilepar/internal/mem"
 	"whilepar/internal/obs"
 	"whilepar/internal/pdtest"
+	"whilepar/internal/tsmem"
 	"whilepar/internal/window"
 )
 
@@ -87,7 +88,7 @@ func RunWindowedCtx(ctx context.Context, spec Spec, n int, cfg window.Config, bo
 	// committed prefix into a re-run suffix need no marks — the prefix
 	// is complete before the suffix re-executes, so those dependences
 	// are satisfied by construction.
-	ts := spec.newMemory(procs)
+	ts := tsmem.NewSharded(procs, spec.Shared...)
 	ts.SetObs(mx, tr)
 	ts.Checkpoint()
 	var tests []*pdtest.Test

@@ -12,9 +12,8 @@ import (
 // memory: every stamped store contends on a shared atomic stamp word
 // with a compare-and-swap loop keeping the minimum writing iteration.
 // It is retained as the comparison baseline for the sharded fast path
-// (Memory) — the whilebench stamped-store microbenchmark and the
-// bit-equivalence stress tests run both implementations over identical
-// loops.  New code should use Memory/NewSharded.
+// (Memory) — the bit-equivalence stress tests run both implementations
+// over identical loops.  New code should use Memory/NewSharded.
 type AtomicMemory struct {
 	arrays      []*mem.Array
 	checkpoints []*mem.Array

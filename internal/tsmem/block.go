@@ -21,9 +21,9 @@
 // once per 64-element block instead of once per element.  Batched
 // StoreRange marks whole blocks with O(blocks) bitmap ORs.
 //
-// Everything downstream (merge, Undo, PartialCommit, MinStampFrom,
-// WriteSet, Stamp) iterates journaled block ranges and their union
-// bitmaps, visiting exactly the touched elements via TrailingZeros64.
+// Everything downstream (merge, Undo, PartialCommit, WriteSet, Stamp)
+// iterates journaled block ranges and their union bitmaps, visiting
+// exactly the touched elements via TrailingZeros64.
 // Undo stays element-granular *within* a block — each set bit's merged
 // stamp is compared individually — which is what keeps the
 // stamp-threshold contract intact: a sub-threshold store is neither
@@ -50,18 +50,9 @@ const (
 	JournalBlock Journal = iota
 	// JournalElement keeps the prior layout — parallel stamp and
 	// epoch-tag arrays plus per-element dirty-index journals —
-	// retained as the equivalence oracle and A/B benchmark baseline.
+	// retained as the equivalence oracle.
 	JournalElement
 )
-
-// String renders the mode the way the whilebench -journal flag spells
-// it.
-func (j Journal) String() string {
-	if j == JournalElement {
-		return "element"
-	}
-	return "block"
-}
 
 const (
 	// blockShift/blockSize/blockMask define the journaling granule:
@@ -264,27 +255,6 @@ func (m *Memory) packedRestoreAbove(bound int64) int {
 		})
 	}
 	return restored
-}
-
-// packedMinStampFrom is MinStampFrom's block-layout scan.
-func (m *Memory) packedMinStampFrom(from int64) int64 {
-	min := NoStamp
-	for _, a := range m.arrays {
-		mg := m.merged[a]
-		ub := m.unionBits[a]
-		for _, b := range m.touchedBlk[a] {
-			base := int(b) << blockShift
-			w := ub[b]
-			for w != 0 {
-				i := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				if st := mg[i]; st != NoStamp && st >= from && (min == NoStamp || st < min) {
-					min = st
-				}
-			}
-		}
-	}
-	return min
 }
 
 // packedWriteSetLen counts the locations appendPackedWriteSet yields.

@@ -157,8 +157,9 @@ type Memory struct {
 	// maps above, keyed by position: the per-element store path resolves
 	// its array by a linear pointer scan over this handful of entries
 	// instead of two pointer-keyed map hashes per store (the dominant
-	// cost in membench before this cache).  The slice headers alias the
-	// map entries, so journal appends through either stay coherent.
+	// cost of a stamped store before this cache).  The slice headers
+	// alias the map entries, so journal appends through either stay
+	// coherent.
 	views []shardView
 	// epoch is the current stamp generation: above the last epoch of
 	// every pooled shard the Memory took, so whatever they hold is
@@ -181,10 +182,10 @@ type Memory struct {
 	merged   map[*mem.Array][]int64
 	mergedOK atomic.Bool
 	// touchedIdx[a] is the deduplicated union of the dirty journals as
-	// of the last merge: the exact location set Undo/PartialCommit/
-	// MinStampFrom must visit.  mgSeen/mgGen are its generation-tagged
-	// dedup scratch (also the "is merged[a][i] meaningful" gate) in the
-	// element layout.
+	// of the last merge: the exact location set Undo/PartialCommit
+	// must visit.  mgSeen/mgGen are its generation-tagged dedup scratch
+	// (also the "is merged[a][i] meaningful" gate) in the element
+	// layout.
 	touchedIdx map[*mem.Array][]int
 	mgSeen     map[*mem.Array][]uint32
 	mgGen      uint32
@@ -232,7 +233,7 @@ func NewSharded(procs int, arrays ...*mem.Array) *Memory {
 }
 
 // NewShardedJournal is NewSharded with an explicit journal layout —
-// the A/B constructor the whilebench -journal flag drives.
+// the constructor the layout-equivalence suites A/B.
 func NewShardedJournal(procs int, journal Journal, arrays ...*mem.Array) *Memory {
 	return newSharded(procs, false, journal, arrays...)
 }
@@ -240,7 +241,7 @@ func NewShardedJournal(procs int, journal Journal, arrays ...*mem.Array) *Memory
 // NewShardedElement is NewSharded with the element-journal layout:
 // separate stamp and epoch-tag arrays plus per-element dirty-index
 // journals.  Retained as the equivalence oracle for the packed block
-// layout and as its benchmark baseline.
+// layout.
 func NewShardedElement(procs int, arrays ...*mem.Array) *Memory {
 	return newSharded(procs, false, JournalElement, arrays...)
 }
@@ -248,8 +249,7 @@ func NewShardedElement(procs int, arrays ...*mem.Array) *Memory {
 // NewShardedExplicit is NewSharded with epoch tagging disabled: every
 // reset eagerly refills the shards with NoStamp, the pre-epoch scheme
 // (which implies the element layout).  It is retained as the
-// equivalence oracle for the O(1) epoch reset and as its benchmark
-// baseline.
+// equivalence oracle for the O(1) epoch reset.
 func NewShardedExplicit(procs int, arrays ...*mem.Array) *Memory {
 	return newSharded(procs, true, JournalElement, arrays...)
 }
@@ -978,27 +978,6 @@ func (m *Memory) PartialCommit(upto int) (int, error) {
 	m.threshold = 0
 	m.Checkpoint()
 	return restored, nil
-}
-
-// MinStampFrom returns the smallest recorded stamp at or above from
-// across all tracked arrays, or NoStamp when nothing at or above from
-// was written.  Like Stamp it merges the shards, so it must only be
-// called after the parallel section completes.
-func (m *Memory) MinStampFrom(from int) int64 {
-	m.mergeStamps()
-	if m.packed {
-		return m.packedMinStampFrom(int64(from))
-	}
-	min := NoStamp
-	for _, a := range m.arrays {
-		mg := m.merged[a]
-		for _, i := range m.touchedIdx[a] {
-			if st := mg[i]; st != NoStamp && st >= int64(from) && (min == NoStamp || st < min) {
-				min = st
-			}
-		}
-	}
-	return min
 }
 
 // RestoreAll rewinds every tracked array to its checkpoint (used when a

@@ -363,25 +363,6 @@ func TestPartialCommitErrors(t *testing.T) {
 	}
 }
 
-func TestMinStampFrom(t *testing.T) {
-	a := mem.NewArray("A", 8)
-	m := NewSharded(2, a)
-	m.Checkpoint()
-	tr := m.Tracker()
-	tr.Store(a, 0, 1, 3, 0)
-	tr.Store(a, 1, 1, 7, 1)
-	tr.Store(a, 2, 1, 12, 0)
-	if got := m.MinStampFrom(0); got != 3 {
-		t.Fatalf("MinStampFrom(0) = %d, want 3", got)
-	}
-	if got := m.MinStampFrom(4); got != 7 {
-		t.Fatalf("MinStampFrom(4) = %d, want 7", got)
-	}
-	if got := m.MinStampFrom(13); got != NoStamp {
-		t.Fatalf("MinStampFrom(13) = %d, want NoStamp", got)
-	}
-}
-
 func TestCheckpointReusesBuffers(t *testing.T) {
 	a := mem.NewArray("A", 64)
 	m := New(a)
