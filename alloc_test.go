@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"whilepar/internal/frontend"
+	"whilepar/internal/pdtest"
+	"whilepar/internal/tsmem"
 )
 
 const (
@@ -208,5 +210,53 @@ func TestAllocationsDoNotGrowWithTripCount(t *testing.T) {
 					small, allocN, large, 8*allocN, allocSlack)
 			}
 		})
+	}
+}
+
+// The post-barrier passes of the speculative engines — the PD test's
+// Analyze and the stamped memory's Undo — work out of journals and lists
+// their Test and Memory own (or took from the arena): once those are
+// warm, a clean Analyze and an Undo allocate nothing, whether N or 8N
+// locations were marked and stamped.
+func TestPostBarrierPassesDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	for _, n := range []int{allocN, 8 * allocN} {
+		a := NewArray("A", n)
+		pd := pdtest.New(a, 2)
+		ts := tsmem.NewSharded(2, a)
+		ts.Checkpoint()
+		// Iteration i updates A[i]; the two workers take alternate runs
+		// of 64 iterations that straddle the 64-element blocks, as the
+		// Dynamic schedule's claims do.
+		vpn := func(i int) int { return (i + 30) / 64 % 2 }
+		analyze := func() {
+			for i := 0; i < n; i++ {
+				pd.MarkLoad(a, i, i, vpn(i))
+				pd.MarkStore(a, i, i, vpn(i))
+			}
+			if r := pd.AnalyzeQuiet(n); !r.DOALL || r.Accesses != 2*n {
+				t.Fatalf("clean loop judged %+v", r)
+			}
+			pd.Reset()
+		}
+		undo := func() {
+			for i := 0; i < n; i++ {
+				ts.StampStore(a, i, 1, i, vpn(i))
+			}
+			if restored, err := ts.Undo(n * 7 / 8); err != nil || restored != n/8 {
+				t.Fatalf("Undo restored %d of %d, err = %v", restored, n/8, err)
+			}
+			ts.Rearm(ts.WriteSet())
+		}
+		for name, pass := range map[string]func(){"Analyze": analyze, "Undo": undo} {
+			pass() // grow the journals, the touched-block list and the write-set
+			if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
+				t.Errorf("%s after %d marks/stamps: %.0f allocations per pass, want 0", name, n, allocs)
+			}
+		}
+		pd.Release()
+		ts.Release()
 	}
 }

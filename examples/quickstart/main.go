@@ -51,10 +51,12 @@ func main() {
 	}
 
 	rep, err := whilepar.RunInduction(loop, whilepar.Options{
-		Procs:           8,
-		InductionMethod: whilepar.Induction2, // QUIT: stop issuing after the exit
-		Shared:          []*whilepar.Array{output},
-		Tested:          []*whilepar.Array{output},
+		Procs: 8,
+		// The whole-loop speculative engine.  Its induction method
+		// defaults to Induction-2 (QUIT: stop issuing after the exit).
+		Strategy: whilepar.StrategySpeculate,
+		Shared:   []*whilepar.Array{output},
+		Tested:   []*whilepar.Array{output},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -174,9 +174,10 @@ type Profile struct {
 	// speculative engines, at tier LastTier, everything included —
 	// checkpoints, validation, rewinds and re-executions.  Zero until a
 	// speculative run has been timed; from then on it moves from the
-	// cost model's prediction toward the measurements, run by run.  Its
-	// ratio to NsPerIter is the speedup speculation attains here, and
-	// corrects the model (DecideTimed).
+	// cost model's prediction toward the measurements, run by run — and,
+	// once it no longer promises a win, in one step up to the cost of a
+	// run the Tuner demoted.  Its ratio to NsPerIter is the speedup
+	// speculation attains here, and corrects the model (DecideTimed).
 	SpecNsPerIter float64 `json:"spec_ns_per_iter"`
 	// TripFraction is valid iterations over the iteration-space bound:
 	// near 1 means the loop almost always runs to its bound (a
@@ -269,7 +270,19 @@ func (p *Profile) apply(s Sample) {
 		if old == 0 {
 			old = s.SpecPredicted
 		}
-		p.SpecNsPerIter = ewma(old, float64(s.SpecNs)/float64(s.SpecIters), old == 0)
+		sample := float64(s.SpecNs) / float64(s.SpecIters)
+		p.SpecNsPerIter = ewma(old, sample, old == 0)
+		// A speculative run that ended Sequential is one the Tuner gave
+		// up on, and the next decision faces the promotion bar.  While
+		// what is remembered still clears it, speculation gets another
+		// run (several slow ones overturn the model, not one).  Once it
+		// does not, believe the demoted run in full: creeping toward it
+		// would stop just under the bar, with no band left, and a few
+		// per cent of drift in the next probes would promote the loop
+		// again — for another demoted run.
+		if s.Engine == Sequential && sample > p.SpecNsPerIter && p.NsPerIter <= (1+Hysteresis)*p.SpecNsPerIter {
+			p.SpecNsPerIter = sample
+		}
 	}
 	if s.Total > 0 {
 		p.TripFraction = ewma(p.TripFraction, float64(s.Valid)/float64(s.Total), first)

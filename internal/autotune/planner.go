@@ -49,10 +49,11 @@ type Table struct {
 // Hysteresis is the band around Sp_at = 1 inside which the previous
 // run's choice stands: a call site that last ran sequentially moves to
 // a parallel engine only at a predicted speedup above 1+Hysteresis, one
-// that last ran in parallel moves back only below 1/(1+Hysteresis).
-// Without it the probe's timing jitter flips a loop near the break-even
-// point from run to run, and every flip back to speculation rebuilds
-// shadow state the collector has meanwhile drained from the pools.
+// that last ran in parallel moves back only below 1/(1+Hysteresis) — and
+// one that has never run speculates from there up.  Without it the
+// probe's timing jitter flips a loop near the break-even point from run
+// to run, and every flip back to speculation rebuilds shadow state the
+// collector has meanwhile drained from the pools.
 const Hysteresis = 0.10
 
 // AuditEvery mirrors speculate.DefaultAuditEvery: one trusted strip in
@@ -67,8 +68,8 @@ const (
 
 // DecideTimed is Decide with the Section 7 verdict on top: the plan
 // Decide picks is kept when its predicted attainable speedup clears 1
-// (by the hysteresis band, once the profile remembers a choice) and
-// replaced by Sequential otherwise.  Plan.ExpectedSpeedup and
+// (give or take the hysteresis band: see Hysteresis) and replaced by
+// Sequential otherwise.  Plan.ExpectedSpeedup and
 // Plan.Reason carry the prediction either way.
 //
 // It is a pure function: the same profile, estimate and table give the
@@ -125,12 +126,18 @@ func DecideTimed(prof Profile, haveProfile bool, est Estimate, tab *Table, remai
 	sp := seq / par
 
 	bar := 1.0
-	if haveProfile && prof.Runs > 0 {
-		if prof.LastEngine == Sequential {
-			bar = 1 + Hysteresis
-		} else {
-			bar = 1 / (1 + Hysteresis)
-		}
+	switch warm := haveProfile && prof.Runs > 0; {
+	case warm && prof.LastEngine == Sequential:
+		bar = 1 + Hysteresis
+	case warm:
+		bar = 1 / (1 + Hysteresis)
+	case plan.Engine != DOALL:
+		// A speculative engine never run here gets the band too: the
+		// model is further off than that, and a first run the Tuner can
+		// cut short puts a measurement in its place.  Left sequential on
+		// a prediction just under 1, the call site would make that first
+		// run whenever a probe drifts over the bar instead.
+		bar = 1 / (1 + Hysteresis)
 	}
 	cmp := ">"
 	if sp <= bar {

@@ -189,6 +189,63 @@ func TestHysteresisUnderProbeJitter(t *testing.T) {
 	}
 }
 
+// A run the Tuner demoted is recorded Sequential, so the next decision
+// faces the promotion bar again.  While the remembered cost still clears
+// it, speculation is tried again — several slow runs overturn the model,
+// not one.  The run after which it no longer does must leave the profile
+// where the measurement puts it, a band or more below the bar: were its
+// cost folded in at the EWMA's weight like the others', the remembered
+// cost would have crept just under the bar and stopped there — a few per
+// cent of probe drift from yet another demoted run.
+func TestHysteresisSurvivesTunerDemotion(t *testing.T) {
+	tab := specLightTable()
+	const remaining, procs = 28000, 2
+	// A heavy body the model promises ~1.9x on, which rewinds eat: the
+	// strips the Tuner saw cost 1.2x the sequential estimate.
+	const seqNs, specNs = 750.0, 900.0
+	st := NewProfileStore()
+	play := func(probeNs float64) Plan {
+		prof, have := st.Lookup("k")
+		est := Estimate{NsPerIter: probeNs, Loads: 1, Stores: 1, Words: 32768}
+		plan := DecideTimed(prof, have, est, tab, remaining, procs, true)
+		smp := Sample{Valid: remaining, Total: remaining, Ns: int64(probeNs * 1024), NsIters: 1024, Engine: Sequential}
+		if plan.Engine != Sequential {
+			// Demoted after two strips; the rest ran sequentially.
+			smp.Strips, smp.SpecIters, smp.SpecNs = 2, 4096, int64(specNs*4096)
+			smp.SpecPredicted = plan.SeqNsPerIter / plan.ExpectedSpeedup
+		}
+		st.Record("k", smp)
+		return plan
+	}
+	if cold := play(seqNs); cold.Engine == Sequential || cold.ExpectedSpeedup < 1.5 {
+		t.Fatalf("cold plan %+v, want speculation on the model's word", cold)
+	}
+	if second := play(seqNs); second.Engine == Sequential {
+		t.Fatalf("one demoted run overturned a model that promised 1.9x: %s", second.Reason)
+	}
+	demoted := 2
+	for ; demoted < 8 && play(seqNs).Engine != Sequential; demoted++ {
+	}
+	prof, _ := st.Lookup("k")
+	if prof.SpecNsPerIter != specNs {
+		t.Fatalf("SpecNsPerIter = %.1f after %d demoted runs that cost %.0f", prof.SpecNsPerIter, demoted, specNs)
+	}
+	for i, drift := range []float64{1, 1.03, 1.08, 1.15, 0.95, 1.15, 1.15, 1.15} {
+		plan := play(seqNs * drift)
+		if plan.Engine != Sequential || plan.ExpectedSpeedup > 1 {
+			t.Fatalf("run %d after the demotion, probe at %.2fx: %v, %s", i, drift, plan.Engine, plan.Reason)
+		}
+	}
+	// A demoted run cheaper than what is remembered does not pull the
+	// figure down past its EWMA.
+	var p Profile
+	p.SpecNsPerIter = 1000
+	p.apply(Sample{Valid: 10, Total: 10, Strips: 2, SpecNs: 8000, SpecIters: 10, Engine: Sequential})
+	if math.Abs(p.SpecNsPerIter-940) > 1e-9 {
+		t.Fatalf("SpecNsPerIter = %v, want 1000 moved 30%% toward 800", p.SpecNsPerIter)
+	}
+}
+
 func TestHysteresisBand(t *testing.T) {
 	tab := specLightTable()
 	const remaining, procs = 260000, 2
@@ -223,6 +280,27 @@ func TestHysteresisBand(t *testing.T) {
 	}
 	if Hysteresis < 0.10 {
 		t.Errorf("Hysteresis = %v, the band must be at least 10%%", Hysteresis)
+	}
+	// A call site with no history speculates from inside the band up —
+	// its first run is what replaces the prediction by a measurement —
+	// but is not handed to a plain DOALL, which nothing would measure.
+	cold := func(ns float64, needsSpec bool) Plan {
+		est := specLight(ns)
+		if !needsSpec {
+			est = Estimate{NsPerIter: ns}
+		}
+		return DecideTimed(Profile{}, false, est, tab, remaining, procs, needsSpec)
+	}
+	if p := cold(even*0.98, true); p.Engine == Sequential || p.ExpectedSpeedup >= 1 {
+		t.Errorf("a cold call site 2%% short of break-even: %v, %s", p.Engine, p.Reason)
+	}
+	if p := cold(even/2, true); p.Engine != Sequential {
+		t.Errorf("a cold call site at half the break-even body chose %v", p.Engine)
+	}
+	for ns := 1.0; ns < 50; ns *= 1.02 {
+		if p := cold(ns, false); p.ExpectedSpeedup <= 1 && p.Engine != Sequential {
+			t.Errorf("a cold DOALL predicted at %.2f ran as %v", p.ExpectedSpeedup, p.Engine)
+		}
 	}
 }
 

@@ -95,7 +95,9 @@ type Options struct {
 	// runtime.GOMAXPROCS(0); an explicit 1 requests sequential
 	// execution; negative values are rejected by Validate.
 	Procs int
-	// Induction method (Induction-2/QUIT by default).
+	// InductionMethod selects how the whole-loop engines find the exit:
+	// Induction-2 (QUIT: stop issuing once an exit is found) is the zero
+	// value; Induction1 runs the whole iteration space and reduces.
 	InductionMethod induction.Method
 	// ListMethod for general-recurrence loops.
 	ListMethod ListMethod

@@ -106,14 +106,13 @@ func (o Options) resolved() Options {
 // absorb-the-panic contract belongs to the whole-loop protocol.  An
 // external Options.Workers pool does NOT disqualify: the selector's
 // engines run their parallel phases on it like any other pool.  (An
-// explicit InductionMethod of Induction1 is indistinguishable from
-// the default and also lands here; the selector's strip engines
-// preserve Induction-1/2 semantics either way, since both evaluate
-// the dispatcher's closed form.)
+// explicit InductionMethod of Induction2 is the zero value, so it is
+// indistinguishable from the default and also lands here; the
+// selector's strip engines QUIT within a strip, as Induction-2 does.)
 func (o Options) autoEligible() bool {
 	return o.Strategy == Auto &&
 		o.Procs != 1 && // explicit 1 means "run it sequentially" — a pinned choice
-		o.InductionMethod == induction.Induction1 &&
+		o.InductionMethod == induction.Induction2 && // the zero value
 		o.Schedule == sched.Dynamic &&
 		len(o.Privatized) == 0 &&
 		!o.SparseUndo &&

@@ -34,16 +34,18 @@ import (
 	"whilepar/internal/simproc"
 )
 
-// Method selects between the two variants of Figure 2.
+// Method selects between the two variants of Figure 2.  The zero value
+// is Induction-2: an execution that names no method does not run what
+// the exit already invalidated.
 type Method int
 
 const (
+	// Induction2 uses QUIT to stop issuing iterations once an exit is
+	// found (the "optimized version" of Figure 2).  The default.
+	Induction2 Method = iota
 	// Induction1 runs the full iteration space and finds the exit by a
 	// post-loop minimum reduction.
-	Induction1 Method = iota
-	// Induction2 uses QUIT to stop issuing iterations once an exit is
-	// found (the "optimized version" of Figure 2).
-	Induction2
+	Induction1
 )
 
 // String names the method as in the paper.
@@ -58,7 +60,7 @@ func (m Method) String() string {
 type Config struct {
 	// Procs is the number of virtual processors.
 	Procs int
-	// Method selects Induction-1 or Induction-2.
+	// Method selects Induction-2 (the zero value) or Induction-1.
 	Method Method
 	// Tracker interposes on the body's managed-memory accesses
 	// (time-stamping, PD-test marking); nil for direct access.

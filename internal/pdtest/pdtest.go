@@ -37,8 +37,13 @@
 // strip's accesses, not to the array length.  The shadow slots are
 // therefore epoch-tagged — a slot is live only if its generation tag
 // equals the test's current epoch, making Reset a single counter bump —
-// and each processor journals the elements it touches, so Analyze
-// merges exactly the touched set instead of sweeping all n elements.
+// and each processor journals what it touches per 64-element block: a
+// block id once per epoch, a touched bitmap, and a *suspect* bitmap of
+// the elements whose marks on that processor involve two iterations.
+// Analyze walks the journaled blocks and merges element-wise only the
+// elements that are suspect or that two processors touched; every other
+// touched element carries one processor's marks from one iteration and
+// is clean by construction, so a clean strip costs O(blocks x procs).
 // The same tags make a shadow reusable between runs without clearing
 // it: a released shadow is pooled together with the last epoch it was
 // used under, and the next Test that takes it starts one epoch later,
@@ -50,6 +55,7 @@ package pdtest
 import (
 	"context"
 	"math"
+	"math/bits"
 
 	"whilepar/internal/arena"
 	"whilepar/internal/mem"
@@ -86,28 +92,60 @@ type pdRec struct {
 	_ uint32
 }
 
+// Journaling granule: 64 elements, so a block's bitmaps are one uint64
+// each (the granule tsmem's block journal uses).
+const (
+	blockShift = 6
+	blockMask  = 1<<blockShift - 1
+)
+
+// numBlocks returns how many journaling blocks cover n elements.
+func numBlocks(n int) int { return (n + blockMask) >> blockShift }
+
+// pdBlk is one block's journal state on one processor, live only while
+// tag equals the test's current epoch.
+type pdBlk struct {
+	// touched has a bit per element this processor marked this epoch.
+	touched uint64
+	// suspect has a bit per element whose marks on this processor may
+	// involve two iterations (see flag): the only elements a single
+	// processor's marks can make violate.
+	suspect uint64
+	tag     uint32
+}
+
 // shadow is one virtual processor's private marking state for one array.
+// Its size is a multiple of the cache line (pinned by
+// TestPackedShadowLayout): every mark writes accesses, and two workers'
+// shadows sharing a line would turn that into a ping-pong.
 type shadow struct {
 	// recs[e] is element e's packed marking record.  Its length is the
 	// array's; its capacity is the pooled buffer's.
 	recs []pdRec
-	// dirty journals the elements this processor touched in the current
-	// epoch (first touch only), giving Analyze its worklist.  Unused
-	// (empty) in eager mode.
-	dirty []int
+	// blk[b] is block b's journal state; it covers recs' capacity.
+	// Unused (nil) in eager mode, like blocks.
+	blk []pdBlk
+	// blocks journals the blocks this processor touched in the current
+	// epoch (first touch only), giving Analyze its worklist.
+	blocks []int32
 	// accesses counts marks made by this processor since the last
 	// Reset; the per-shadow split keeps the hot path free of shared
 	// atomics (summed post-barrier by Accesses).
 	accesses int64
+	// minExposed is the smallest iteration that made an exposed read on
+	// this processor this epoch (never if none): all PrivatizableStrict
+	// needs, without visiting the elements.
+	minExposed int64
 	// epoch is what a pooled shadow carries from one Test to the next:
-	// no tag anywhere in recs' capacity exceeds it, so under any later
-	// epoch the whole buffer reads as unmarked.
+	// no tag anywhere in recs' or blk's capacity exceeds it, so under
+	// any later epoch the whole buffer reads as unmarked.
 	epoch uint32
+	_     [36]byte
 }
 
-// shadowPool recycles epoch-mode shadows whole — records, journal and
-// last epoch — so a new Test pays neither an allocation nor a clear of
-// procs x n records.
+// shadowPool recycles epoch-mode shadows whole — records, block journal
+// and last epoch — so a new Test pays neither an allocation nor a clear
+// of procs x n records.
 var shadowPool arena.Pool[shadow]
 
 // newShadow returns an epoch-mode shadow for n elements: a pooled one,
@@ -116,9 +154,10 @@ var shadowPool arena.Pool[shadow]
 func newShadow(n int) *shadow {
 	s := shadowPool.Get(n)
 	if s == nil {
-		s = &shadow{recs: make([]pdRec, arena.ClassCap(n)), dirty: arena.Ints(64)}
+		c := arena.ClassCap(n)
+		s = &shadow{recs: make([]pdRec, c), blk: make([]pdBlk, numBlocks(c)), blocks: make([]int32, 0, 64)}
 	}
-	s.recs = s.recs[:n]
+	s.recs, s.minExposed = s.recs[:n], never
 	return s
 }
 
@@ -146,7 +185,7 @@ func (s *shadow) sweep() {
 
 // release pools an epoch-mode shadow last used under epoch.
 func (s *shadow) release(epoch uint32) {
-	s.epoch, s.dirty, s.accesses = epoch, s.dirty[:0], 0
+	s.epoch, s.blocks, s.accesses = epoch, s.blocks[:0], 0
 	shadowPool.Put(cap(s.recs), s)
 }
 
@@ -183,8 +222,8 @@ type Test struct {
 func (t *Test) SetObs(mx *obs.Metrics, tr obs.Tracer) { t.obsM, t.obsT = mx, tr }
 
 // New creates a PD test for array a with marking state for procs virtual
-// processors.  Shadow slots are epoch-tagged and touch-journaled, so
-// Reset is O(1) and Analyze visits only touched elements.
+// processors.  Shadow slots are epoch-tagged and block-journaled, so
+// Reset is O(1) and Analyze visits only touched blocks.
 func New(a *mem.Array, procs int) *Test { return newTest(a, procs, false) }
 
 // NewEager is New with epoch tagging disabled: every slot is eagerly
@@ -231,6 +270,9 @@ func (t *Test) nextEpoch() {
 			for i := range full {
 				full[i].tag = 0
 			}
+			for b := range s.blk {
+				s.blk[b].tag = 0
+			}
 		}
 		t.epoch = 1
 	}
@@ -266,19 +308,64 @@ func (t *Test) Accesses() int {
 // DOALL's tracker.  Accesses to other arrays are ignored.
 func (t *Test) Observer() mem.Observer { return observer{t} }
 
-// slot makes element idx's record of shadow s live in the current
-// epoch, initializing it and journaling the first touch, and returns
-// it — one cache line for the whole first-touch mark.
-func (t *Test) slot(s *shadow, idx int) *pdRec {
-	r := &s.recs[idx]
-	if r.tag != t.epoch {
-		r.tag = t.epoch
-		r.lastWriter = -1
-		r.w1, r.w2 = never, never
-		r.r1, r.r2 = never, never
-		s.dirty = append(s.dirty, idx)
+// first makes r, element idx's record on shadow s, live in the current
+// epoch holding its first mark — a write (lastWriter = w1 = the
+// iteration, r1 = never) or an exposed read (lastWriter = -1, w1 =
+// never, r1 = the iteration) — and journals the touch: a bit in the
+// block's bitmap, plus the block id on the block's own first touch.  Two
+// cache lines for the whole first-touch mark, the record's and the
+// block's.  Out of line, and the last thing a mark does, so the marks'
+// hit path keeps nothing live across the call.  (Eager mode pins every
+// tag live and never gets here.)
+//
+//go:noinline
+func (t *Test) first(s *shadow, r *pdRec, idx int, lastWriter, w1, r1 int64) {
+	r.tag = t.epoch
+	r.lastWriter = lastWriter
+	r.w1, r.w2 = w1, never
+	r.r1, r.r2 = r1, never
+	if r1 < s.minExposed {
+		s.minExposed = r1
 	}
-	return r
+	b := idx >> blockShift
+	bl := &s.blk[b]
+	if bl.tag != t.epoch {
+		*bl = pdBlk{tag: t.epoch}
+		s.blocks = append(s.blocks, int32(b))
+	}
+	bl.touched |= 1 << (uint(idx) & blockMask)
+}
+
+// flag marks element idx suspect: its marks on this processor involve,
+// or may involve, two iterations.  What stays unflagged holds the marks
+// of a single iteration — w1 == r1 or only one of them set, w2 and r2
+// unset — which no valid bound can turn into a dependence on its own.
+// Epoch mode only: the eager oracle judges every element.
+func (s *shadow) flag(idx int) {
+	s.blk[idx>>blockShift].suspect |= 1 << (uint(idx) & blockMask)
+}
+
+// read records an exposed read by iteration it and reports whether the
+// element is now suspect: an earlier iteration on this processor wrote
+// it (had it written it itself, the read would be covered).
+func (r *pdRec) read(it int64) (suspect bool) {
+	insert2(&r.r1, &r.r2, it)
+	return r.w1 != never
+}
+
+// write records iteration it's first write and reports whether the
+// element is now suspect: another iteration on this processor already
+// wrote it, or exposed-read it.
+func (r *pdRec) write(it int64) (suspect bool) {
+	if r.w1 == never {
+		r.w1 = it
+		suspect = r.r1 != never && (r.r1 != it || r.r2 != never)
+	} else {
+		insert2(&r.w1, &r.w2, it)
+		suspect = true
+	}
+	r.lastWriter = it
+	return suspect
 }
 
 // MarkLoad records one load of a[idx] by iteration iter on processor
@@ -291,11 +378,20 @@ func (t *Test) MarkLoad(a *mem.Array, idx, iter, vpn int) {
 	}
 	s := t.shadows[vpn]
 	s.accesses++
-	r := t.slot(s, idx)
-	if r.lastWriter == int64(iter) {
+	r, it := &s.recs[idx], int64(iter)
+	if r.tag != t.epoch {
+		t.first(s, r, idx, -1, never, it)
+		return
+	}
+	if r.lastWriter == it {
 		return // read covered by this iteration's own earlier write
 	}
-	insert2(&r.r1, &r.r2, int64(iter))
+	if it < s.minExposed {
+		s.minExposed = it
+	}
+	if r.read(it) && !t.eager {
+		s.flag(idx)
+	}
 }
 
 // MarkStore records one store, the concrete form of ObserveStore.
@@ -305,10 +401,13 @@ func (t *Test) MarkStore(a *mem.Array, idx, iter, vpn int) {
 	}
 	s := t.shadows[vpn]
 	s.accesses++
-	r := t.slot(s, idx)
-	if r.lastWriter != int64(iter) {
-		insert2(&r.w1, &r.w2, int64(iter))
-		r.lastWriter = int64(iter)
+	r, it := &s.recs[idx], int64(iter)
+	if r.tag != t.epoch {
+		t.first(s, r, idx, it, it, never)
+		return
+	}
+	if r.lastWriter != it && r.write(it) && !t.eager {
+		s.flag(idx)
 	}
 }
 
@@ -323,11 +422,20 @@ func (t *Test) MarkLoadRange(a *mem.Array, lo, hi, iter, vpn int) {
 	s.accesses += int64(hi - lo)
 	it := int64(iter)
 	for idx := lo; idx < hi; idx++ {
-		r := t.slot(s, idx)
+		r := &s.recs[idx]
+		if r.tag != t.epoch {
+			t.first(s, r, idx, -1, never, it)
+			continue
+		}
 		if r.lastWriter == it {
 			continue
 		}
-		insert2(&r.r1, &r.r2, it)
+		if it < s.minExposed {
+			s.minExposed = it
+		}
+		if r.read(it) && !t.eager {
+			s.flag(idx)
+		}
 	}
 }
 
@@ -340,10 +448,13 @@ func (t *Test) MarkStoreRange(a *mem.Array, lo, hi, iter, vpn int) {
 	s.accesses += int64(hi - lo)
 	it := int64(iter)
 	for idx := lo; idx < hi; idx++ {
-		r := t.slot(s, idx)
-		if r.lastWriter != it {
-			insert2(&r.w1, &r.w2, it)
-			r.lastWriter = it
+		r := &s.recs[idx]
+		if r.tag != t.epoch {
+			t.first(s, r, idx, it, it, never)
+			continue
+		}
+		if r.lastWriter != it && r.write(it) && !t.eager {
+			s.flag(idx)
 		}
 	}
 }
@@ -395,11 +506,12 @@ type Result struct {
 
 // Analyze runs the post-execution analysis, ignoring all marks made by
 // iterations with index >= valid (the time-stamped-marks rule for
-// overshooting WHILE loops).  In epoch mode the merge visits exactly
-// the elements some processor touched this epoch (the union of the
-// dirty journals); the eager oracle scans all n elements as a DOALL
-// over the shadow arrays.  Either way the analysis depends only on
-// shadow marks, never on array data.
+// overshooting WHILE loops).  In epoch mode it walks the blocks some
+// processor touched this epoch (the union of the block journals) and
+// merges element-wise only their suspect and multiply-touched elements;
+// the eager oracle scans all n elements as a DOALL over the shadow
+// arrays.  Either way the analysis depends only on shadow marks, never
+// on array data.
 func (t *Test) Analyze(valid int) Result { return t.analyze(valid, true) }
 
 // AnalyzeQuiet is Analyze without recording into the observability
@@ -408,9 +520,10 @@ func (t *Test) Analyze(valid int) Result { return t.analyze(valid, true) }
 // decision exactly once.
 func (t *Test) AnalyzeQuiet(valid int) Result { return t.analyze(valid, false) }
 
-// inlineScan is the worklist size below which the merge runs inline on
-// the caller: spawning a worker per processor costs more than merging a
-// strip-sized touched set.
+// inlineScan is the worklist size (journaled blocks; elements in eager
+// mode) below which the merge runs inline on the caller: spawning a
+// worker per processor costs more than merging a strip-sized touched
+// set.
 const inlineScan = 4096
 
 // verdict is one scan worker's private result: plain fields a worker
@@ -481,23 +594,23 @@ func (t *Test) scanElem(e, from int, valid int64, v *verdict) {
 }
 
 // worklist is the number of scan positions: every element in eager
-// mode, every journal entry in epoch mode.
+// mode, every block-journal entry in epoch mode.
 func (t *Test) worklist() int {
 	if t.eager {
 		return t.arr.Len()
 	}
 	n := 0
 	for _, s := range t.shadows {
-		n += len(s.dirty)
+		n += len(s.blocks)
 	}
 	return n
 }
 
 // scan merges worklist positions [lo, hi).  In epoch mode the worklist
-// is the processors' journals laid end to end; an element several
+// is the processors' block journals laid end to end; a block several
 // processors touched appears once per journal and is merged only at its
-// first appearance — from the lowest-numbered processor that holds live
-// marks for it — so the journals need no separate deduplication pass.
+// first appearance — from the lowest-numbered processor that journaled
+// it — so the journals need no separate deduplication pass.
 func (t *Test) scan(lo, hi int, valid int64) verdict {
 	v := verdict{firstViol: never}
 	if t.eager {
@@ -508,7 +621,7 @@ func (t *Test) scan(lo, hi int, valid int64) verdict {
 	}
 	pos := 0
 	for k, s := range t.shadows {
-		d := s.dirty
+		d := s.blocks
 		from, to := lo-pos, hi-pos
 		pos += len(d)
 		if to <= 0 {
@@ -522,16 +635,34 @@ func (t *Test) scan(lo, hi int, valid int64) verdict {
 		}
 	journal:
 		for j := from; j < to; j++ {
-			e := d[j]
+			b := int(d[j])
 			for _, lower := range t.shadows[:k] {
-				if lower.recs[e].tag == t.epoch {
+				if lower.blk[b].tag == t.epoch {
 					continue journal
 				}
 			}
-			t.scanElem(e, k, valid, &v)
+			t.scanBlock(b, k, valid, &v)
 		}
 	}
 	return v
+}
+
+// scanBlock folds block b, journaled by shadows[from] and by no lower
+// shadow, into v.  Only an element that is suspect on some processor, or
+// that two processors touched, can violate; scanElem judges those
+// exactly and the rest are only counted.
+func (t *Test) scanBlock(b, from int, valid int64, v *verdict) {
+	var touched, exact uint64
+	for _, s := range t.shadows[from:] {
+		if bl := &s.blk[b]; bl.tag == t.epoch {
+			exact |= touched&bl.touched | bl.suspect
+			touched |= bl.touched
+		}
+	}
+	v.merged += bits.OnesCount64(touched &^ exact)
+	for ; exact != 0; exact &= exact - 1 {
+		t.scanElem(b<<blockShift+bits.TrailingZeros64(exact), from, valid, v)
+	}
 }
 
 func (t *Test) analyze(valid int, record bool) Result {
@@ -551,6 +682,12 @@ func (t *Test) analyze(valid int, record bool) Result {
 		})
 		for _, part := range parts {
 			v.add(part)
+		}
+	}
+	if !t.eager {
+		// scan visits no element for its exposed reads alone.
+		for _, s := range t.shadows {
+			v.exposed = v.exposed || s.minExposed < int64(valid)
 		}
 	}
 
@@ -585,7 +722,7 @@ func (t *Test) analyze(valid int, record bool) Result {
 // Reset clears all marks for reuse across strips (Section 5.1 suggests
 // strip-mining and running the PD test on each strip when the terminator
 // itself depends on a variable with unknown dependences).  In epoch mode
-// this is one generation bump plus journal truncation — O(touched), not
+// this is one generation bump plus journal truncation — O(procs), not
 // O(procs x n); the eager oracle pays the full sweep.
 func (t *Test) Reset() {
 	if t.eager {
@@ -595,7 +732,7 @@ func (t *Test) Reset() {
 	} else {
 		t.nextEpoch()
 		for _, s := range t.shadows {
-			s.dirty = s.dirty[:0]
+			s.blocks, s.minExposed = s.blocks[:0], never
 		}
 	}
 	for _, s := range t.shadows {

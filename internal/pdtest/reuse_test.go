@@ -21,7 +21,7 @@ import (
 func freshTest(a *mem.Array, procs int) *Test {
 	t := &Test{arr: a, shadows: make([]*shadow, procs), epoch: 1}
 	for k := range t.shadows {
-		t.shadows[k] = &shadow{recs: make([]pdRec, a.Len())}
+		t.shadows[k] = &shadow{recs: make([]pdRec, a.Len()), blk: make([]pdBlk, numBlocks(a.Len())), minExposed: never}
 	}
 	return t
 }
@@ -130,15 +130,16 @@ func TestConcurrentTestsShareThePool(t *testing.T) {
 }
 
 // Worklists above inlineScan are merged by one worker per processor,
-// each over a contiguous share of the journals laid end to end.  The
-// shares cut journals anywhere, and an element several processors
+// each over a contiguous share of the block journals laid end to end.
+// The shares cut journals anywhere, and a block several processors
 // touched sits in several journals: it must be merged exactly once, and
 // the reduced verdict must be the eager oracle's.
 func TestChunkedScanMatchesEager(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	// n is no multiple of procs, so the two iterations that touch an
-	// element (it and it+n) run on different processors.
-	const n, procs, iters = 20001, 4, 30000
+	// element (it and it+n) run on different processors; every processor
+	// journals every block, n/64 x procs entries in all.
+	const n, procs, iters = 70001, 4, 105000
 	a := mem.NewArray("A", n)
 	epochT, eagerT := New(a, procs), NewEager(a, procs)
 	defer epochT.Release()

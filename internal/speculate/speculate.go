@@ -187,30 +187,23 @@ func RunCtx(ctx context.Context, spec Spec, par ParallelRunner, seq SequentialRu
 
 	// Tb: checkpoint the in-place arrays — or, with SparseUndo, defer
 	// to first-touch logging (no up-front copies at all).
-	var undoer interface {
-		Tracker() mem.Tracker
-	}
 	ts := tsmem.NewSharded(procs, spec.Shared...)
 	ts.SetObs(mx, tr)
 	var sp *tsmem.SparseMemory
 	if spec.SparseUndo {
 		sp = tsmem.NewSparseSharded(procs)
 		sp.SetObs(mx, tr)
-		undoer = sp
 	} else {
 		ts.Checkpoint()
 		ts.SetStampThreshold(spec.StampThreshold)
-		undoer = ts
 	}
 
 	// Shadow structures for the PD tests.
 	var tests []*pdtest.Test
-	var observers []mem.Observer
 	for _, a := range spec.Tested {
 		t := pdtest.New(a, procs)
 		t.SetObs(mx, tr)
 		tests = append(tests, t)
-		observers = append(observers, t.Observer())
 	}
 	defer func() {
 		ts.Release()
@@ -219,24 +212,32 @@ func RunCtx(ctx context.Context, spec Spec, par ParallelRunner, seq SequentialRu
 		}
 	}()
 
-	// Privatized arrays: redirect through private copies; the undo
-	// tracker remains the sink for everything else.
-	var sink mem.Tracker = undoer.Tracker()
+	var tracker mem.Tracker
 	var privs []*priv.Private
-	for _, ps := range spec.Privatized {
-		p := priv.New(ps.Arr, procs, priv.Options{CopyIn: ps.CopyIn, Live: ps.Live})
-		privs = append(privs, p)
-		sink = p.Tracker(sink)
-	}
-	tracker := mem.Tracker(mem.Chain{Observers: observers, Sink: sink})
-	if len(observers) == 0 {
-		tracker = sink
-	}
-	if sp == nil && len(privs) == 0 {
+	if sp == nil && len(spec.Privatized) == 0 {
 		// Devirtualized fast path: identical semantics to the chain
-		// above (shadow marks first, stamp sink second), without the
+		// below (shadow marks first, stamp sink second), without the
 		// per-access interface dispatch per layer.
 		tracker = newFusedTracker(ts, tests)
+	} else {
+		// Privatized arrays: redirect through private copies; the undo
+		// tracker remains the sink for everything else.
+		tracker = ts.Tracker()
+		if sp != nil {
+			tracker = sp.Tracker()
+		}
+		for _, ps := range spec.Privatized {
+			p := priv.New(ps.Arr, procs, priv.Options{CopyIn: ps.CopyIn, Live: ps.Live})
+			privs = append(privs, p)
+			tracker = p.Tracker(tracker)
+		}
+		if len(tests) > 0 {
+			observers := make([]mem.Observer, len(tests))
+			for i, t := range tests {
+				observers[i] = t.Observer()
+			}
+			tracker = mem.Chain{Observers: observers, Sink: tracker}
+		}
 	}
 
 	restore := func() error {
@@ -287,18 +288,16 @@ func RunCtx(ctx context.Context, spec Spec, par ParallelRunner, seq SequentialRu
 	// Post-execution analysis: every tested array must pass — as a
 	// plain DOALL if it was run in place, or as a privatized DOALL if
 	// it was privatized.
-	privSet := make(map[*mem.Array]bool, len(privs))
-	for _, p := range privs {
-		privSet[p.Shared()] = true
-	}
 	var results []pdtest.Result
 	failIdx, firstViol := -1, -1
 	for i, t := range tests {
 		r := t.Analyze(valid)
 		results = append(results, r)
 		ok := r.DOALL
-		if privSet[t.Array()] {
-			ok = r.DOALLWithPriv
+		for _, p := range privs {
+			if p.Shared() == t.Array() {
+				ok = r.DOALLWithPriv
+			}
 		}
 		if !ok {
 			if failIdx < 0 {

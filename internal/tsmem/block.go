@@ -21,11 +21,16 @@
 // once per 64-element block instead of once per element.  Batched
 // StoreRange marks whole blocks with O(blocks) bitmap ORs.
 //
-// Everything downstream (merge, Undo, PartialCommit, WriteSet, Stamp)
-// iterates journaled block ranges and their union bitmaps, visiting
-// exactly the touched elements via TrailingZeros64.
-// Undo stays element-granular *within* a block — each set bit's merged
-// stamp is compared individually — which is what keeps the
+// Everything downstream (merge, Undo, PartialCommit, WriteSet) works
+// per journaled block.  The post-barrier merge only deduplicates the
+// block journals and ORs the bitmaps: there is no merged stamp array.
+// Undo and PartialCommit take each location's cross-shard minimum from
+// the shards as they go, and each shard keeps, per block, an upper
+// bound on the stamps it recorded there — so a block no shard stamped
+// at or above the bound is skipped without reading a record, and a
+// clean run's undo costs O(touched blocks) plus the overshot stores.
+// Undo stays element-granular *within* a block — each set bit's
+// minimum stamp is compared individually — which is what keeps the
 // stamp-threshold contract intact: a sub-threshold store is neither
 // stamped nor bitmap-marked, so a block-level restore can never clobber
 // it (see TestThresholdStoreSurvivesBlockUndo).
@@ -33,7 +38,7 @@ package tsmem
 
 import (
 	"math/bits"
-	"sync"
+	"sync/atomic"
 
 	"whilepar/internal/arena"
 	"whilepar/internal/mem"
@@ -91,18 +96,36 @@ var (
 	int32Pool  = arena.NewSlicePool[int32]()
 )
 
+// block is one 64-element block's journal state in one shard, live only
+// while tag equals the Memory's current epoch.
+type block struct {
+	// bits has a bit per location the shard stamped this epoch.
+	bits uint64
+	// max bounds the shard's stamps in the block from above: the
+	// largest first-touch stamp, which a later, lower stamp on the same
+	// location (the record keeps the minimum) can only undercut.
+	max int64
+	tag uint32
+}
+
 // shard is one worker's slice of the packed layout for one array: the
-// records, the block tags and bitmaps, and the block journal.  It is
+// records, the per-block journal state and the block journal.  It is
 // pooled whole, with the last epoch it was used under, so a Memory that
 // takes it starts one epoch later and clears nothing — every record and
-// block tag it still holds is stale by construction.
+// block tag it still holds is stale by construction.  Its size is a
+// multiple of the cache line (pinned by TestPackedRecordLayout): the
+// block journal's slice header is written once per first-touched block,
+// and sharing a line would have that invalidate a neighbouring worker's
+// copy of its own shard.
 type shard struct {
-	recs    []rec
-	blkTag  []uint32
-	blkBits []uint64
-	blocks  []int32
-	// epoch: no tag anywhere in recs' or blkTag's capacity exceeds it.
+	recs []rec
+	// blk covers recs' capacity.
+	blk []block
+	// blocks journals each block id once per epoch.
+	blocks []int32
+	// epoch: no tag anywhere in recs' or blk's capacity exceeds it.
 	epoch uint32
+	_     [52]byte
 }
 
 var shardPool arena.Pool[shard]
@@ -114,23 +137,36 @@ func newShard(n int) *shard {
 		return sh
 	}
 	c := arena.ClassCap(n)
-	nb := numBlocks(c)
-	return &shard{recs: make([]rec, c), blkTag: make([]uint32, nb), blkBits: make([]uint64, nb),
-		blocks: make([]int32, 0, 64)}
+	return &shard{recs: make([]rec, c), blk: make([]block, numBlocks(c)), blocks: make([]int32, 0, 64)}
 }
 
 // release pools the shard, last used under epoch, keeping the capacity
 // its block journal grew to.
-func (sh *shard) release(epoch uint32, journal []int32) {
-	sh.epoch, sh.blocks = epoch, journal[:0]
+func (sh *shard) release(epoch uint32) {
+	sh.epoch, sh.blocks = epoch, sh.blocks[:0]
 	shardPool.Put(cap(sh.recs), sh)
 }
 
-// blockJournaled reports whether any of the shards whose block tags are
-// bts journaled block b in the current epoch.
-func (m *Memory) blockJournaled(bts [][]uint32, b int) bool {
-	for _, bt := range bts {
-		if bt[b] == m.epoch {
+// journal records first touches, stamped it, of the locations mask
+// selects in block b: the block id on the block's own first touch of
+// the epoch, then the bitmap and the stamp bound.
+func (sh *shard) journal(epoch uint32, b int, mask uint64, it int64) {
+	bl := &sh.blk[b]
+	if bl.tag != epoch {
+		*bl = block{tag: epoch, max: it}
+		sh.blocks = append(sh.blocks, int32(b))
+	}
+	bl.bits |= mask
+	if it > bl.max {
+		bl.max = it
+	}
+}
+
+// blockJournaled reports whether any of shs journaled block b in the
+// current epoch.
+func (m *Memory) blockJournaled(shs []*shard, b int32) bool {
+	for _, sh := range shs {
+		if sh.blk[b].tag == m.epoch {
 			return true
 		}
 	}
@@ -139,82 +175,48 @@ func (m *Memory) blockJournaled(bts [][]uint32, b int) bool {
 
 // mergePacked is mergeStamps for the packed layout: deduplicate the
 // per-shard block journals into touchedBlk (against the shards' own
-// block tags — no separate seen-set), OR the per-shard bitmaps into
-// unionBits, then min-merge the shards' records over exactly the set
-// bits.  Cost is O(journaled blocks x procs + touched elements x
-// writers), independent of array length.
+// block tags — no separate seen-set) and OR the per-shard bitmaps into
+// unionBits, whose set bits are the stamped locations.  Cost is
+// O(journaled blocks x procs), independent of array length and of how
+// many locations were stamped.
 func (m *Memory) mergePacked() {
 	stamped := 0
 	for _, a := range m.arrays {
-		rss := m.recs[a]
-		bts := m.blkTag[a]
-		n := a.Len()
-		mg := m.merged[a]
-		if len(mg) != n {
-			arena.PutInt64s(mg)
-			mg = arena.Int64s(n)
-			m.merged[a] = mg
-		}
+		shs := m.shards[a]
 		ub := m.unionBits[a]
+		// Sized from the pool for the journals' total, an upper bound:
+		// a list append had grown would go back to a size class the
+		// next run never asks for.
+		need := 0
+		for _, sh := range shs {
+			need += len(sh.blocks)
+		}
 		blist := m.touchedBlk[a][:0]
-		for k := 0; k < m.procs; k++ {
-			for _, b := range m.blocks[a][k] {
+		if cap(blist) < need {
+			int32Pool.Put(blist)
+			blist = int32Pool.GetCap(need)
+		}
+		for k, sh := range shs {
+			for _, b := range sh.blocks {
 				// Journals are truncated at every reset, so each entry
 				// is current-epoch by construction and its bitmap live.
 				// A block several shards journaled is listed once, by
 				// the lowest of them, with the union of their bitmaps.
-				if m.blockJournaled(bts[:k], int(b)) {
+				if m.blockJournaled(shs[:k], b) {
 					continue
 				}
-				u := m.blkBits[a][k][b]
-				for j := k + 1; j < m.procs; j++ {
-					if bts[j][b] == m.epoch {
-						u |= m.blkBits[a][j][b]
+				u := sh.blk[b].bits
+				for _, hi := range shs[k+1:] {
+					if bl := &hi.blk[b]; bl.tag == m.epoch {
+						u |= bl.bits
 					}
 				}
 				ub[b] = u
 				blist = append(blist, b)
+				stamped += bits.OnesCount64(u)
 			}
 		}
 		m.touchedBlk[a] = blist
-		var mu sync.Mutex
-		parallelDo(m.procs, len(blist), func(lo, hi int) {
-			count := 0
-			liveK := make([]int, 0, m.procs)
-			liveBits := make([]uint64, 0, m.procs)
-			for _, b := range blist[lo:hi] {
-				// Gather the shards that journaled this block so the
-				// per-element min scan touches only actual writers.
-				liveK, liveBits = liveK[:0], liveBits[:0]
-				for k := 0; k < m.procs; k++ {
-					if bts[k][b] == m.epoch && m.blkBits[a][k][b] != 0 {
-						liveK = append(liveK, k)
-						liveBits = append(liveBits, m.blkBits[a][k][b])
-					}
-				}
-				base := int(b) << blockShift
-				w := ub[b]
-				for w != 0 {
-					t := bits.TrailingZeros64(w)
-					bit := uint64(1) << uint(t)
-					w &^= bit
-					i := base + t
-					min := NoStamp
-					for j, k := range liveK {
-						if liveBits[j]&bit != 0 {
-							if st := rss[k][i].stamp; min == NoStamp || st < min {
-								min = st
-							}
-						}
-					}
-					mg[i] = min
-					count++
-				}
-			}
-			mu.Lock()
-			stamped += count
-			mu.Unlock()
-		})
 	}
 	m.stamped = stamped
 	m.mergedOK.Store(true)
@@ -223,38 +225,63 @@ func (m *Memory) mergePacked() {
 }
 
 // packedRestoreAbove restores from the checkpoint every touched
-// location whose merged stamp is >= bound and returns how many.  The
-// merge must have run.  Restoration is element-granular inside each
-// block — only set bits with a qualifying stamp are rewound — so
-// unjournaled (sub-threshold) neighbors in the same block survive.
+// location whose minimum stamp across the shards is >= bound and
+// returns how many.  The merge must have run.  Restoration is
+// element-granular inside each block — only set bits with a qualifying
+// stamp are rewound — so unjournaled (sub-threshold) neighbors in the
+// same block survive.
 func (m *Memory) packedRestoreAbove(bound int64) int {
 	restored := 0
 	for ai, a := range m.arrays {
-		cp := m.checkpoints[ai]
-		mg := m.merged[a]
-		ub := m.unionBits[a]
-		blist := m.touchedBlk[a]
-		var mu sync.Mutex
+		cp, blist := m.checkpoints[ai], m.touchedBlk[a]
+		if len(blist) < 2*minSpan || m.procs == 1 {
+			// What parallelDo would run inline anyway, without its
+			// closure: the common case allocates nothing.
+			restored += m.restoreBlocks(a, cp, blist, bound)
+			continue
+		}
+		var total atomic.Int64
 		parallelDo(m.procs, len(blist), func(lo, hi int) {
-			count := 0
-			for _, b := range blist[lo:hi] {
-				base := int(b) << blockShift
-				w := ub[b]
-				for w != 0 {
-					i := base + bits.TrailingZeros64(w)
-					w &= w - 1
-					if st := mg[i]; st != NoStamp && st >= bound {
-						a.Data[i] = cp.Data[i]
-						count++
-					}
-				}
-			}
-			mu.Lock()
-			restored += count
-			mu.Unlock()
+			total.Add(int64(m.restoreBlocks(a, cp, blist[lo:hi], bound)))
 		})
+		restored += int(total.Load())
 	}
 	return restored
+}
+
+// restoreBlocks is packedRestoreAbove over the blocks of a in blist.
+func (m *Memory) restoreBlocks(a, cp *mem.Array, blist []int32, bound int64) int {
+	shs, ub := m.shards[a], m.unionBits[a]
+	count := 0
+	for _, b := range blist {
+		// keep collects the bits some shard stamped below bound: their
+		// minimum is below it too.  A shard whose stamps in the block
+		// are all below bound keeps every bit it set without a record
+		// read — on a block below the exit, that is every shard.
+		base := int(b) << blockShift
+		var keep uint64
+		for _, sh := range shs {
+			bl := &sh.blk[b]
+			if bl.tag != m.epoch {
+				continue
+			}
+			if bl.max < bound {
+				keep |= bl.bits
+				continue
+			}
+			for w := bl.bits &^ keep; w != 0; w &= w - 1 {
+				if t := bits.TrailingZeros64(w); sh.recs[base+t].stamp < bound {
+					keep |= 1 << uint(t)
+				}
+			}
+		}
+		for w := ub[b] &^ keep; w != 0; w &= w - 1 {
+			i := base + bits.TrailingZeros64(w)
+			a.Data[i] = cp.Data[i]
+			count++
+		}
+	}
+	return count
 }
 
 // packedWriteSetLen counts the locations appendPackedWriteSet yields.

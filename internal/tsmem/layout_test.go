@@ -32,4 +32,12 @@ func TestPackedRecordLayout(t *testing.T) {
 	if blockMask != blockSize-1 {
 		t.Fatalf("blockMask %d inconsistent with blockSize %d", blockMask, blockSize)
 	}
+	// A worker appends to its shard's block journal once per 64
+	// first-touch stores, rewriting the slice header inside the shard.
+	// Shards are allocated one by one, so a size that is a whole number
+	// of cache lines keeps that write off the line a neighbouring
+	// worker reads its own shard's headers from.
+	if got := unsafe.Sizeof(shard{}); got%64 != 0 {
+		t.Fatalf("shard is %d bytes, not a multiple of the 64-byte cache line", got)
+	}
 }

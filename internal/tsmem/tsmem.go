@@ -14,8 +14,8 @@
 // execution funnels each write through, so Memory keeps its stamps
 // *sharded per virtual processor*: worker k writes min-stamps into its
 // own private slice with plain (non-atomic) loads and stores, and the
-// shards are merged into the authoritative per-location minimum only
-// after the DOALL's barrier, when Undo/Stamp/Stats first need them.
+// authoritative per-location minimum is taken across the shards only
+// after the DOALL's barrier, when Undo/Stamp/Stats first need it.
 // This removes all atomic contention (and cache-line ping-pong) from
 // the store path at the cost of procs x words of stamp memory — the
 // same privatize-then-reduce trade the paper itself applies to the PD
@@ -135,31 +135,25 @@ type Memory struct {
 	// WriteSet.  Single-writer per shard, like the stamps.
 	dirty map[*mem.Array][][]int
 	// Packed block-journal layout (the JournalBlock default; see
-	// block.go).  recs[a][k][i] fuses stamp + epoch tag + flags into
-	// one 16-byte record; blkTag/blkBits[a][k][b] are the epoch tag and
-	// dirty bitmap of 64-element block b in shard k; blocks[a][k]
-	// journals each block id once per epoch.  unionBits/touchedBlk are
-	// the merge's block-granular results, playing the role touchedIdx
-	// plays for the element layout.  The slices are views into pooled
-	// shards (shards[a][k], see block.go), which Release hands back.
-	// Exactly one of {recs..., stamps...} is populated per Memory.
-	recs       map[*mem.Array][][]rec
-	blkTag     map[*mem.Array][][]uint32
-	blkBits    map[*mem.Array][][]uint64
-	blocks     map[*mem.Array][][]int32
+	// block.go).  shards[a][k] is worker k's pooled shard for array a —
+	// its 16-byte stamp records, per-block journal state and block
+	// journal — which Release hands back.  unionBits/touchedBlk are the
+	// merge's block-granular results, playing the role touchedIdx plays
+	// for the element layout.  Exactly one of {shards, stamps...} is
+	// populated per Memory.
 	shards     map[*mem.Array][]*shard
 	unionBits  map[*mem.Array][]uint64
 	touchedBlk map[*mem.Array][]int32
 	// packed selects the block layout's code paths (JournalBlock and
 	// not explicit).
 	packed bool
-	// views carries the same stamp/epoch/dirty slice headers as the
-	// maps above, keyed by position: the per-element store path resolves
-	// its array by a linear pointer scan over this handful of entries
-	// instead of two pointer-keyed map hashes per store (the dominant
-	// cost of a stamped store before this cache).  The slice headers
-	// alias the map entries, so journal appends through either stay
-	// coherent.
+	// views carries the same stamp/epoch/dirty slice headers and shards
+	// as the maps above, keyed by position: the per-element store path
+	// resolves its array by a linear pointer scan over this handful of
+	// entries instead of two pointer-keyed map hashes per store (the
+	// dominant cost of a stamped store before this cache).  The slice
+	// headers alias the map entries, so journal appends through either
+	// stay coherent.
 	views []shardView
 	// epoch is the current stamp generation: above the last epoch of
 	// every pooled shard the Memory took, so whatever they hold is
@@ -170,15 +164,16 @@ type Memory struct {
 	// shard with NoStamp and the epoch never moves.  Kept as the
 	// equivalence oracle for the O(1) reset (NewShardedExplicit).
 	explicit bool
-	// merged[a][i] is the cross-shard minimum, computed after the
-	// barrier by mergeStamps; mergedOK guards the lazy merge.  Stamping
-	// stores clear it (merged is a copy, not an alias, so a store after
-	// a merge would otherwise read back a stale minimum); the flag is
-	// atomic only for that rare cross-worker clear — the hot path pays
-	// one read of a rarely-written cache line.  merged[a][i] is only
+	// mergedOK guards the lazy post-barrier merge (mergeStamps).
+	// Stamping stores clear it (the merge's results are copies, not
+	// aliases, so a store after a merge would otherwise leave them
+	// stale); the flag is atomic only for that rare cross-worker clear —
+	// the hot path pays one read of a rarely-written cache line.
+	// merged[a][i] is the element layout's cross-shard minimum, only
 	// meaningful where mgSeen[a][i] carries the current mgGen — every
 	// other location is NoStamp by construction (never written since
-	// the reset) and is not stored explicitly.
+	// the reset) and is not stored explicitly.  The packed layout keeps
+	// no merged array: it takes each minimum from the shards when asked.
 	merged   map[*mem.Array][]int64
 	mergedOK atomic.Bool
 	// touchedIdx[a] is the deduplicated union of the dirty journals as
@@ -256,16 +251,15 @@ func NewShardedExplicit(procs int, arrays ...*mem.Array) *Memory {
 
 // shardView bundles one tracked array's shard slices for the hot store
 // path (see the views field).  stamps/epochs/dirty serve the element
-// layout; recs/blkTag/blkBits/blocks the packed block layout.
+// layout; recs (each shard's records, cut to the array's length) and
+// shards the packed block layout.
 type shardView struct {
-	a       *mem.Array
-	stamps  [][]int64
-	epochs  [][]uint32
-	dirty   [][]int
-	recs    [][]rec
-	blkTag  [][]uint32
-	blkBits [][]uint64
-	blocks  [][]int32
+	a      *mem.Array
+	stamps [][]int64
+	epochs [][]uint32
+	dirty  [][]int
+	recs   [][]rec
+	shards []*shard
 }
 
 // viewOf resolves a tracked array's shard view by pointer scan, nil if
@@ -288,24 +282,15 @@ func newSharded(procs int, explicit bool, journal Journal, arrays ...*mem.Array)
 		procs:    procs,
 		explicit: explicit,
 		packed:   journal == JournalBlock && !explicit,
-		merged:   make(map[*mem.Array][]int64, len(arrays)),
 	}
 	if m.packed {
-		m.recs = make(map[*mem.Array][][]rec, len(arrays))
-		m.blkTag = make(map[*mem.Array][][]uint32, len(arrays))
-		m.blkBits = make(map[*mem.Array][][]uint64, len(arrays))
-		m.blocks = make(map[*mem.Array][][]int32, len(arrays))
 		m.shards = make(map[*mem.Array][]*shard, len(arrays))
 		m.unionBits = make(map[*mem.Array][]uint64, len(arrays))
 		m.touchedBlk = make(map[*mem.Array][]int32, len(arrays))
 		for _, a := range arrays {
 			m.arrays = append(m.arrays, a)
-			nb := numBlocks(a.Len())
 			shs := make([]*shard, procs)
 			rss := make([][]rec, procs)
-			bts := make([][]uint32, procs)
-			bbs := make([][]uint64, procs)
-			bjs := make([][]int32, procs)
 			for k := range shs {
 				// A pooled shard's records and block tags are stale
 				// under every epoch above the one it carries; bitmaps
@@ -315,21 +300,16 @@ func newSharded(procs int, explicit bool, journal Journal, arrays ...*mem.Array)
 				if sh.epoch > m.epoch {
 					m.epoch = sh.epoch
 				}
-				shs[k] = sh
-				rss[k], bts[k], bbs[k], bjs[k] = sh.recs[:a.Len()], sh.blkTag[:nb], sh.blkBits[:nb], sh.blocks[:0]
+				shs[k], rss[k] = sh, sh.recs[:a.Len()]
 			}
 			m.shards[a] = shs
-			m.recs[a] = rss
-			m.blkTag[a] = bts
-			m.blkBits[a] = bbs
-			m.blocks[a] = bjs
-			m.views = append(m.views, shardView{a: a, recs: rss, blkTag: bts, blkBits: bbs, blocks: bjs})
-			m.unionBits[a] = uint64Pool.Get(nb)
-			m.touchedBlk[a] = int32Pool.GetCap(64)
+			m.views = append(m.views, shardView{a: a, recs: rss, shards: shs})
+			m.unionBits[a] = uint64Pool.Get(numBlocks(a.Len()))
 		}
 		m.resetStamps()
 		return m
 	}
+	m.merged = make(map[*mem.Array][]int64, len(arrays))
 	m.stamps = make(map[*mem.Array][][]int64, len(arrays))
 	m.epochs = make(map[*mem.Array][][]uint32, len(arrays))
 	m.dirty = make(map[*mem.Array][][]int, len(arrays))
@@ -386,8 +366,8 @@ func (m *Memory) Release() {
 		for _, d := range m.dirty[a] {
 			arena.PutInts(d)
 		}
-		for k, sh := range m.shards[a] {
-			sh.release(m.epoch, m.blocks[a][k])
+		for _, sh := range m.shards[a] {
+			sh.release(m.epoch)
 		}
 		uint64Pool.Put(m.unionBits[a])
 		int32Pool.Put(m.touchedBlk[a])
@@ -402,8 +382,7 @@ func (m *Memory) Release() {
 		arena.PutInts(ws)
 	}
 	m.stamps, m.epochs, m.dirty, m.merged, m.mgSeen, m.touchedIdx = nil, nil, nil, nil, nil, nil
-	m.recs, m.blkTag, m.blkBits, m.blocks, m.shards = nil, nil, nil, nil, nil
-	m.unionBits, m.touchedBlk, m.writeSet = nil, nil, nil
+	m.shards, m.unionBits, m.touchedBlk, m.writeSet = nil, nil, nil, nil
 	m.checkpoints, m.arrays, m.views = nil, nil, nil
 	m.cpValid = false
 }
@@ -451,7 +430,9 @@ func (m *Memory) resetStamps() {
 							rs[i].epoch = 0
 						}
 					})
-					clear(sh.blkTag[:cap(sh.blkTag)])
+					for b := range sh.blk {
+						sh.blk[b].tag = 0
+					}
 				}
 			}
 			m.epoch = 1
@@ -463,9 +444,9 @@ func (m *Memory) resetStamps() {
 			dj[k] = dj[k][:0]
 		}
 	}
-	for _, bj := range m.blocks {
-		for k := range bj {
-			bj[k] = bj[k][:0]
+	for _, shs := range m.shards {
+		for _, sh := range shs {
+			sh.blocks = sh.blocks[:0]
 		}
 	}
 	m.mergedOK.Store(false)
@@ -645,23 +626,17 @@ func (m *Memory) StampStore(a *mem.Array, idx int, v float64, iter, vpn int) {
 			}
 			k := m.slot(vpn)
 			if m.packed {
-				r := &vw.recs[k][idx]
+				r, it := &vw.recs[k][idx], int64(iter)
 				if r.epoch != m.epoch {
 					// First touch of this epoch: one 16-byte record
 					// write covers stamp, liveness tag and journaled
-					// bit — a single shadow cache line.
-					r.stamp = int64(iter)
+					// bit — a single shadow cache line — and the block's
+					// journal state is a second.
+					r.stamp = it
 					r.epoch = m.epoch
 					r.flags = recJournaled
-					b := idx >> blockShift
-					bt := vw.blkTag[k]
-					if bt[b] != m.epoch {
-						bt[b] = m.epoch
-						vw.blkBits[k][b] = 0
-						vw.blocks[k] = append(vw.blocks[k], int32(b))
-					}
-					vw.blkBits[k][b] |= 1 << (uint(idx) & blockMask)
-				} else if it := int64(iter); it < r.stamp {
+					vw.shards[k].journal(m.epoch, idx>>blockShift, 1<<(uint(idx)&blockMask), it)
+				} else if it < r.stamp {
 					r.stamp = it
 				}
 				storeData(&a.Data[idx], v)
@@ -723,7 +698,7 @@ func (m *Memory) StampStoreRange(a *mem.Array, lo int, src []float64, iter, vpn 
 				// Journal whole blocks in O(blocks): one epoch-tagged
 				// bitmap OR per 64-element block, with partial masks at
 				// the range's edges.
-				bt, bb := vw.blkTag[k], vw.blkBits[k]
+				sh := vw.shards[k]
 				firstB, lastB := lo>>blockShift, (lo+n-1)>>blockShift
 				for b := firstB; b <= lastB; b++ {
 					s := 0
@@ -736,13 +711,7 @@ func (m *Memory) StampStoreRange(a *mem.Array, lo int, src []float64, iter, vpn 
 					}
 					// e-s == 64 wraps 1<<64 to 0, and 0-1 to all-ones:
 					// exactly the full-block mask.
-					mask := ((uint64(1) << uint(e-s)) - 1) << uint(s)
-					if bt[b] != m.epoch {
-						bt[b] = m.epoch
-						bb[b] = 0
-						vw.blocks[k] = append(vw.blocks[k], int32(b))
-					}
-					bb[b] |= mask
+					sh.journal(m.epoch, b, ((uint64(1)<<uint(e-s))-1)<<uint(s), it64)
 				}
 				storeDataRange(a.Data[lo:lo+n], src)
 				return
@@ -788,14 +757,16 @@ func (t stampTracker) StoreRange(a *mem.Array, lo int, src []float64, iter, vpn 
 	t.m.StampStoreRange(a, lo, src, iter, vpn)
 }
 
-// mergeStamps combines the per-worker shards into the authoritative
-// per-location minimum stamp.  It must be called only after the
-// parallel section has completed (the DOALL barrier orders the shard
-// writes before it); Undo, Stamp and Stats call it lazily.  The merge
-// visits only journaled locations — the union of the per-shard dirty
-// lists, deduplicated against a generation-tagged scratch — so its
-// cost is O(writes x procs), not O(n x procs); large worklists split
-// across the Memory's workers.
+// mergeStamps combines the per-worker shards' journals into the
+// deduplicated touched set — and, in the element layout, the shards'
+// stamps into the authoritative per-location minimum.  It must be
+// called only after the parallel section has completed (the DOALL
+// barrier orders the shard writes before it); Undo, WriteSet and Stats
+// call it lazily.  The merge visits only journaled locations — the
+// union of the per-shard dirty lists, deduplicated against a
+// generation-tagged scratch — so its cost is O(writes x procs), not
+// O(n x procs); large worklists split across the Memory's workers.
+// (The packed layout's merge is per journaled block: mergePacked.)
 func (m *Memory) mergeStamps() {
 	if m.mergedOK.Load() {
 		return
@@ -883,41 +854,44 @@ func (m *Memory) Undo(lastValid int) (int, error) {
 		return 0, fmt.Errorf("tsmem: last valid iteration %d below stamp threshold %d; stamps missing", lastValid, m.threshold)
 	}
 	ts := obs.Start(m.obsT)
-	m.mergeStamps()
-	restored := 0
-	if m.packed {
-		// Stamps are zero-based iteration indices; iterations
-		// 0..lastValid-1 are valid, so any stamp >= lastValid is
-		// overshoot.
-		restored = m.packedRestoreAbove(int64(lastValid))
-	} else {
-		for ai, a := range m.arrays {
-			cp := m.checkpoints[ai]
-			mg := m.merged[a]
-			list := m.touchedIdx[a]
-			var mu sync.Mutex
-			parallelDo(m.procs, len(list), func(lo, hi int) {
-				count := 0
-				for _, i := range list[lo:hi] {
-					if st := mg[i]; st != NoStamp && st >= int64(lastValid) {
-						// Stamps are zero-based iteration indices; iterations
-						// 0..lastValid-1 are valid, so any stamp >= lastValid
-						// is overshoot.
-						a.Data[i] = cp.Data[i]
-						count++
-					}
-				}
-				mu.Lock()
-				restored += count
-				mu.Unlock()
-			})
-		}
-	}
+	// Stamps are zero-based iteration indices; iterations
+	// 0..lastValid-1 are valid, so any stamp >= lastValid is overshoot.
+	restored := m.restoreAbove(int64(lastValid))
 	m.obsM.UndoneAdd(restored)
 	if m.obsT != nil {
 		obs.Span(m.obsT, ts, "undo", "tsmem", 0, map[string]any{"restored": restored, "lastValid": lastValid})
 	}
 	return restored, nil
+}
+
+// restoreAbove merges the shards and restores from the checkpoint every
+// journaled location whose minimum stamp is >= bound — the rewind Undo
+// and PartialCommit share — and returns how many.
+func (m *Memory) restoreAbove(bound int64) int {
+	m.mergeStamps()
+	if m.packed {
+		return m.packedRestoreAbove(bound)
+	}
+	restored := 0
+	for ai, a := range m.arrays {
+		cp := m.checkpoints[ai]
+		mg := m.merged[a]
+		list := m.touchedIdx[a]
+		var mu sync.Mutex
+		parallelDo(m.procs, len(list), func(lo, hi int) {
+			count := 0
+			for _, i := range list[lo:hi] {
+				if st := mg[i]; st != NoStamp && st >= bound {
+					a.Data[i] = cp.Data[i]
+					count++
+				}
+			}
+			mu.Lock()
+			restored += count
+			mu.Unlock()
+		})
+	}
+	return restored
 }
 
 // PartialCommit keeps the work of iterations below upto and rewinds the
@@ -944,30 +918,7 @@ func (m *Memory) PartialCommit(upto int) (int, error) {
 		return 0, fmt.Errorf("tsmem: partial-commit bound %d below stamp threshold %d; stamps missing", upto, m.threshold)
 	}
 	ts := obs.Start(m.obsT)
-	m.mergeStamps()
-	restored := 0
-	if m.packed {
-		restored = m.packedRestoreAbove(int64(upto))
-	} else {
-		for ai, a := range m.arrays {
-			cp := m.checkpoints[ai]
-			mg := m.merged[a]
-			list := m.touchedIdx[a]
-			var mu sync.Mutex
-			parallelDo(m.procs, len(list), func(lo, hi int) {
-				count := 0
-				for _, i := range list[lo:hi] {
-					if st := mg[i]; st != NoStamp && st >= int64(upto) {
-						a.Data[i] = cp.Data[i]
-						count++
-					}
-				}
-				mu.Lock()
-				restored += count
-				mu.Unlock()
-			})
-		}
-	}
+	restored := m.restoreAbove(int64(upto))
 	m.obsM.SuffixUndoneAdd(restored)
 	if m.obsT != nil {
 		obs.Span(m.obsT, ts, "partial-commit", "tsmem", 0, map[string]any{"restored": restored, "upto": upto})
@@ -1020,21 +971,22 @@ func (m *Memory) Commit() {
 }
 
 // Stamp returns the stamp recorded for a location (NoStamp if unwritten
-// or below the threshold).  It merges the per-worker shards on first
-// use, so it must only be called after the parallel section completes.
+// or below the threshold): the minimum over the per-worker shards, so
+// it must only be called after the parallel section completes.
 func (m *Memory) Stamp(a *mem.Array, idx int) int64 {
 	if m.packed {
-		if _, ok := m.recs[a]; !ok {
-			return NoStamp
-		}
-		m.mergeStamps()
+		// On demand, from the shards that journaled the location: an
+		// unset bit (or a stale block) is a shard that never wrote it.
 		b, bit := idx>>blockShift, uint64(1)<<(uint(idx)&blockMask)
-		if !m.blockJournaled(m.blkTag[a], b) || m.unionBits[a][b]&bit == 0 {
-			// Block never journaled, or this element's bit unset:
-			// unwritten since the last reset.
-			return NoStamp
+		min := NoStamp
+		for _, sh := range m.shards[a] {
+			if bl := &sh.blk[b]; bl.tag == m.epoch && bl.bits&bit != 0 {
+				if st := sh.recs[idx].stamp; min == NoStamp || st < min {
+					min = st
+				}
+			}
 		}
-		return m.merged[a][idx]
+		return min
 	}
 	if _, ok := m.stamps[a]; !ok {
 		return NoStamp
