@@ -171,10 +171,15 @@ func TestAllocationsDoNotGrowWithTripCount(t *testing.T) {
 	priced := auto("alloc-light")
 	priced.Profiles.SetTable(prohibitiveTable())
 	pinned := func(s Strategy) Options { return Options{Procs: 2, Strategy: s, Validation: ValidationFull} }
+	// With a Metrics attached the per-worker counts are sized once per
+	// run, by the worker count: the trip count must not show either.
+	metered := pinned(StrategySpeculate)
+	metered.Metrics = NewMetrics()
 	paths := []path{
 		{"sequential", rvInt, Options{Strategy: StrategySequential}},
 		{"sequential cancellable", rvIntCancellable, Options{Strategy: StrategySequential}},
 		{"speculate", rvInt, pinned(StrategySpeculate)},
+		{"speculate with metrics", rvInt, metered},
 		{"recover", rvInt, pinned(StrategyRecover)},
 		{"pipeline", rvInt, pinned(StrategyPipeline)},
 		{"auto speculative", rvInt, auto("alloc-spec")},
@@ -189,6 +194,7 @@ func TestAllocationsDoNotGrowWithTripCount(t *testing.T) {
 		{"list General-1", listWalk, Options{Procs: 2, ListMethod: General1}},
 		{"list General-2", listWalk, Options{Procs: 2, ListMethod: General2}},
 		{"list General-3", listWalk, Options{Procs: 2, ListMethod: General3}},
+		{"list General-3 with metrics", listWalk, Options{Procs: 2, ListMethod: General3, Metrics: NewMetrics()}},
 		{"associative", associative, Options{Procs: 2}},
 		{"while program sequential", whileProgram, Options{Strategy: StrategySequential}},
 		{"while program", whileProgram, auto("alloc-while")},

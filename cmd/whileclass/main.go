@@ -3,7 +3,10 @@
 // loops, and — given -spec — parses a Fortran-ish WHILE-loop description
 // and runs the full front-end analysis on it: recurrence detection and
 // classification, RI/RV terminator analysis, subscripted-subscript
-// detection, and the Section 6 distribution plan.
+// detection, and the Section 6 distribution plan.  With -run, an array
+// the loop both writes and reads goes to the PD test, and a scalar the
+// body assigns (other than a recurrence) is iteration-local: reading it
+// before its first assignment in body order is a compile error.
 //
 //	whileclass                      # taxonomy + archetypes
 //	whileclass -spec loop.while     # analyze a loop description

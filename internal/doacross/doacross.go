@@ -165,18 +165,18 @@ func Run(ctx context.Context, n int, cfg Config, body func(i, vpn int, s *Sync) 
 	var (
 		next    atomic.Int64
 		quit    atomic.Int64
-		execed  atomic.Int64
 		stopped atomic.Bool
 		panicAt atomic.Pointer[cancel.PanicError]
 	)
 	quit.Store(int64(n))
 	ran := make([]bool, n)
+	h.M.SizeVPNs(procs)
 	if ctx != nil && ctx.Done() != nil {
 		stopWatch := context.AfterFunc(ctx, func() { stopped.Store(true) })
 		defer stopWatch()
 	}
 
-	runIter := func(i, vpn int) {
+	runIter := func(i, vpn int) (completed bool) {
 		// The runtime's completion post must fire on every path out of
 		// the body — normal return, QUIT, panic — because posts are what
 		// drain the pipeline (deferred: it runs after the recover below).
@@ -193,8 +193,6 @@ func Run(ctx context.Context, n int, cfg Config, body func(i, vpn int, s *Sync) 
 		ts := obs.Start(h.T)
 		c := body(i, vpn, s)
 		ran[i] = true
-		execed.Add(1)
-		h.M.IterExecuted(vpn)
 		if h.T != nil {
 			obs.Span(h.T, ts, "iter", "doacross", vpn, map[string]any{"i": i})
 		}
@@ -210,15 +208,22 @@ func Run(ctx context.Context, n int, cfg Config, body func(i, vpn int, s *Sync) 
 				obs.Instant(h.T, "QUIT", "doacross", vpn, map[string]any{"i": i})
 			}
 		}
+		return true
 	}
 
 	worker := func(vpn int) {
+		// Counted on the worker's own stack, flushed once as it ends.
+		issued, executed := 0, 0
+		defer func() {
+			h.M.IterIssued(issued)
+			h.M.IterExecutedN(vpn, executed)
+		}()
 		for {
 			i := int(next.Add(1) - 1)
 			if i >= n {
 				return
 			}
-			h.M.IterIssued(1)
+			issued++
 			if stopped.Load() || int64(i) > quit.Load() {
 				// Post-only drain: a claimed index must post even when
 				// its body is suppressed.  A later-claimed iteration may
@@ -228,7 +233,9 @@ func Run(ctx context.Context, n int, cfg Config, body func(i, vpn int, s *Sync) 
 				s.Post(i)
 				return
 			}
-			runIter(i, vpn)
+			if runIter(i, vpn) {
+				executed++
+			}
 		}
 	}
 	if pool := cfg.Pool; pool != nil {
@@ -255,11 +262,12 @@ func Run(ctx context.Context, n int, cfg Config, body func(i, vpn int, s *Sync) 
 	}
 
 	q := int(quit.Load())
-	prefix := -1
+	prefix, executed := -1, 0
 	for i, r := range ran {
-		if !r {
+		if r {
+			executed++
+		} else if prefix < 0 {
 			prefix = i
-			break
 		}
 	}
 	if prefix < 0 {
@@ -268,7 +276,7 @@ func Run(ctx context.Context, n int, cfg Config, body func(i, vpn int, s *Sync) 
 	if q < prefix {
 		prefix = q
 	}
-	res := Result{Executed: int(execed.Load()), QuitIndex: q, Prefix: prefix}
+	res := Result{Executed: executed, QuitIndex: q, Prefix: prefix}
 	if pe := panicAt.Load(); pe != nil {
 		return res, pe
 	}

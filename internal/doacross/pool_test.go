@@ -71,6 +71,15 @@ func TestRunPoolMatchesSpawnRandomized(t *testing.T) {
 		if s.Executed != int64(resP.Executed) {
 			t.Fatalf("trial %d: metrics executed %d != result %d", trial, s.Executed, resP.Executed)
 		}
+		// The counts are flushed per worker: what each worker claimed
+		// covers what it ran, and the per-vpn counts add up.
+		var busy int64
+		for _, b := range s.VPNBusy {
+			busy += b
+		}
+		if s.Issued < s.Executed || busy != s.Executed {
+			t.Fatalf("trial %d: issued %d, executed %d, per-vpn sum %d", trial, s.Issued, s.Executed, busy)
+		}
 		if s.PoolDispatches != 1 {
 			t.Fatalf("trial %d: pool dispatches = %d, want 1", trial, s.PoolDispatches)
 		}

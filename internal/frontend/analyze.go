@@ -104,6 +104,30 @@ func Analyze(ast *LoopAST) (*Analysis, error) {
 		an.Stmts = append(an.Stmts, info)
 	}
 
+	// Doubt goes to Tested: an array the loop both writes and reads, by
+	// any subscript, may carry a cross-iteration dependence no pass
+	// here rules out, so the PD test decides.
+	reads := map[string]bool{}
+	if ast.Cond != nil {
+		vars(ast.Cond, reads)
+	}
+	for _, st := range ast.Body {
+		switch t := st.(type) {
+		case Assign:
+			vars(t.RHS, reads)
+			if t.Sub != nil {
+				vars(t.Sub, reads)
+			}
+		case ExitIf:
+			vars(t.Cond, reads)
+		}
+	}
+	for _, st := range ast.Body {
+		if a, ok := st.(Assign); ok && a.Sub != nil && reads[a.LHS] {
+			unknownSet[a.LHS] = true
+		}
+	}
+
 	// Pass 2: termination conditions (loop header + in-body exits).
 	// A condition is remainder invariant iff every variable it reads is
 	// a recurrence variable or never assigned in the body.

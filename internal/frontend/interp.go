@@ -92,7 +92,65 @@ func Compile(ast *LoopAST, an *Analysis, env *Env, maxIter int) (*Program, error
 			return nil, fmt.Errorf("frontend: recurrence %q (%v) is outside the runnable subset", s.LHS, s.Kind)
 		}
 	}
+	if err := checkLocalsAssignedFirst(ast, an); err != nil {
+		return nil, err
+	}
 	return p, nil
+}
+
+// checkLocalsAssignedFirst enforces the scalar rule: a scalar the body
+// assigns, other than a recurrence, is iteration-local — each iteration
+// starts without it and it is not visible after the loop — so a read
+// of it before its first assignment in body order (header condition
+// first, then each statement's value, subscript and exit condition)
+// would see the previous iteration's value in a sequential loop and
+// nothing of it here.  Such a program is rejected, naming the scalar.
+func checkLocalsAssignedFirst(ast *LoopAST, an *Analysis) error {
+	local := map[string]bool{}
+	for _, st := range ast.Body {
+		if a, ok := st.(Assign); ok && a.Sub == nil {
+			local[a.LHS] = true
+		}
+	}
+	for _, s := range an.Stmts {
+		if s.Kind != distribute.Plain && s.Kind != distribute.Unknown {
+			delete(local, s.LHS)
+		}
+	}
+	assigned := map[string]bool{}
+	check := func(exprs ...Expr) error {
+		refs := map[string]bool{}
+		for _, e := range exprs {
+			if e != nil {
+				vars(e, refs)
+			}
+		}
+		for _, v := range sortedKeys(refs) {
+			if local[v] && !assigned[v] {
+				return fmt.Errorf("frontend: scalar %q is read before the loop body assigns it; "+
+					"body-assigned scalars are iteration-local", v)
+			}
+		}
+		return nil
+	}
+	if err := check(ast.Cond); err != nil {
+		return err
+	}
+	for _, st := range ast.Body {
+		var err error
+		switch t := st.(type) {
+		case Assign:
+			if err = check(t.RHS, t.Sub); err == nil && t.Sub == nil {
+				assigned[t.LHS] = true
+			}
+		case ExitIf:
+			err = check(t.Cond)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // evalCtx is one worker's interpretation state, re-armed per iteration

@@ -14,7 +14,8 @@
 //   - General-3 also avoids the lock and also privately traverses, but
 //     assigns iterations dynamically: a processor assigned iteration i
 //     advances its private cursor by i - prev hops from the last
-//     iteration it processed.
+//     iteration it processed.  It claims them in chunks that grow as
+//     the Dynamic schedule's do (sched.Geometric).
 //
 // All three execute the same set of iterations as the sequential loop
 // when the terminator is RI (pt == nil); with an RV terminator they
@@ -52,7 +53,8 @@ type Config struct {
 	Tracker mem.Tracker
 	// U is an upper bound on iterations for the dynamically scheduled
 	// methods (the `u` of Figure 4's DOALLs); 0 means "the list length
-	// is the bound" (pure RI traversal).
+	// is the bound" (pure RI traversal), discovered by the worker that
+	// reaches the end: neither method walks the list beforehand.
 	U int
 	// Metrics, if non-nil, accumulates runtime counters; Tracer, if
 	// non-nil, receives iteration spans and QUIT events.
@@ -403,13 +405,17 @@ func General3(head *list.Node, body Body, cfg Config) Result {
 
 // General3Ctx is General3 under a context (see General1Ctx for the
 // cancellation and panic contract).
+// Iterations are claimed in chunks of sched.Geometric sizes, so the
+// claim counter is written once per chunk; QUIT and stop are checked
+// per iteration, so overshoot stays bounded by the iterations in
+// flight, and an abandoned chunk's first unexecuted iteration is owed.
 func General3Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (Result, error) {
 	bound := cfg.U
 	if bound <= 0 {
-		bound = list.Len(head)
+		bound = none // unknown: the end of the list is found on the way
 	}
-	// The claim counter is the one word every iteration writes; a line
-	// of padding either side keeps it off the lines they all read.
+	// The claim counter is the one word every chunk writes; a line of
+	// padding either side keeps it off the lines they all read.
 	var claim struct {
 		_    [64]byte
 		next atomic.Int64
@@ -419,31 +425,35 @@ func General3Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (R
 	runErr := r.each(ctx, func(w *worker) {
 		pt := head
 		prev := 0 // pt currently points at iteration index `prev`
-		for {
-			if r.g.stop.Load() {
+		chunk := sched.NewGeometric(bound, r.cfg.procs())
+		for !r.g.stop.Load() {
+			lo := int(claim.next.Add(chunk.Size) - chunk.Size)
+			if lo >= bound {
 				return
 			}
-			i := int(claim.next.Add(1) - 1)
-			if i >= bound {
-				return
-			}
-			w.issued++
-			if i > r.quit.get() {
-				return
-			}
-			for j := 0; j < i-prev && pt != nil; j++ {
-				pt = pt.Next
-				w.hops++
-			}
-			prev = i
-			if pt == nil {
-				// Fell off the list: the RI terminator fired at or
-				// before i; the list length caps validity.
-				r.quit.record(i)
-				return
-			}
-			if !w.exec(i, pt) {
-				return
+			hi := idxClamp(lo+int(chunk.Size), bound)
+			chunk.Grow()
+			for i := lo; i < hi; i++ {
+				w.owed = i
+				if r.g.stop.Load() {
+					return
+				}
+				w.issued++
+				if i > r.quit.get() {
+					return
+				}
+				for ; prev < i && pt != nil; prev++ {
+					pt = pt.Next
+					w.hops++
+				}
+				if pt == nil {
+					// Fell off the list: its length caps validity.
+					r.quit.record(prev)
+					return
+				}
+				if !w.exec(i, pt) {
+					return
+				}
 			}
 		}
 	})

@@ -117,10 +117,11 @@ func TestHopCountsCharacterizeMethods(t *testing.T) {
 	if h2 <= h1 {
 		t.Fatal("General-2 must hop more than General-1")
 	}
-	// General-3: between n-1 (perfect locality — cursors start at the
-	// head, which is iteration 0) and p*(n-1).
-	if h3 < int64(n-1) || h3 > int64(p*(n-1)) {
-		t.Fatalf("General-3 hops = %d out of [n-1, p*(n-1)]", h3)
+	// General-3: between n (perfect locality — cursors start at the
+	// head, which is iteration 0, and one hops onto the nil terminator
+	// to find the end) and p*n, every cursor having walked that far.
+	if h3 < int64(n) || h3 > int64(p*n) {
+		t.Fatalf("General-3 hops = %d out of [n, p*n]", h3)
 	}
 }
 

@@ -22,8 +22,11 @@
 //
 // Metrics is execution-scoped, not global: callers allocate one per
 // orchestrated run (whilepar Options.Metrics) and read a consistent
-// Snapshot after the run completes.  Counters may be read while the
-// run is still in flight — they are individually atomic — but only a
+// Snapshot after the run completes.  Per-iteration and per-access
+// counts are kept per worker and flushed here after each barrier, so a
+// Metrics adds no shared write per iteration or access.  Counters may
+// be read while the run is in flight — they are individually atomic,
+// and lag by at most one strip — but only a
 // post-completion Snapshot is guaranteed to satisfy the cross-counter
 // identities (Executed == valid + overshot, and so on).
 package obs
@@ -117,8 +120,9 @@ type Metrics struct {
 	auditRuns      atomic.Int64
 	auditFailures  atomic.Int64
 
+	vpnBusy atomic.Pointer[[]*busySlot] // grown under mu, read lock-free
+
 	mu           sync.Mutex
-	vpnBusy      []*busySlot
 	abortReasons map[string]int64
 	pdVerdicts   []PDVerdict
 }
@@ -157,19 +161,9 @@ func (m *Metrics) IterIssued(n int) {
 	m.issued.Add(int64(n))
 }
 
-// IterExecuted records one iteration whose body ran on processor vpn.
-func (m *Metrics) IterExecuted(vpn int) {
-	if m == nil {
-		return
-	}
-	m.executed.Add(1)
-	m.busySlot(vpn).Add(1)
-}
-
 // IterExecutedN records n iterations whose bodies ran on processor vpn
-// in one call — the chunk-boundary flush of the batched dispatchers,
-// which pays the busy-slot lookup once per chunk instead of per
-// iteration.
+// in one call — the per-worker flush of the dispatchers, which pays the
+// busy-slot lookup once per worker instead of per iteration.
 func (m *Metrics) IterExecutedN(vpn, n int) {
 	if m == nil || n <= 0 {
 		return
@@ -178,19 +172,33 @@ func (m *Metrics) IterExecutedN(vpn, n int) {
 	m.busySlot(vpn).Add(int64(n))
 }
 
+// SizeVPNs sizes the per-vpn table for p workers, so their flushes never lock.
+func (m *Metrics) SizeVPNs(p int) {
+	if m != nil && p > 0 {
+		m.busySlot(p - 1)
+	}
+}
+
 // busySlot returns the per-vpn executed counter (cache-line padded),
 // growing the table on first use of a processor number.
 func (m *Metrics) busySlot(vpn int) *atomic.Int64 {
 	if vpn < 0 {
 		vpn = 0
 	}
-	m.mu.Lock()
-	for len(m.vpnBusy) <= vpn {
-		m.vpnBusy = append(m.vpnBusy, new(busySlot))
+	if t := m.vpnBusy.Load(); t != nil && vpn < len(*t) {
+		return &(*t)[vpn].v
 	}
-	s := &m.vpnBusy[vpn].v
-	m.mu.Unlock()
-	return s
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var t []*busySlot
+	if p := m.vpnBusy.Load(); p != nil {
+		t = *p
+	}
+	for len(t) <= vpn { // past every reader's length: no one reads it yet
+		t = append(t, new(busySlot))
+	}
+	m.vpnBusy.Store(&t)
+	return &t[vpn].v
 }
 
 // OvershotAdd records n iterations that executed at or beyond the final
@@ -286,13 +294,13 @@ func (m *Metrics) StampedStoresAdd(n int) {
 	m.stampedStores.Add(int64(n))
 }
 
-// BatchedRange records one batched LoadRange/StoreRange of elems
-// elements: a single tracker interposition covering a whole strip.
-func (m *Metrics) BatchedRange(elems int) {
+// BatchedRanges records ranges batched LoadRange/StoreRange calls (one
+// tracker interposition each) covering elems elements in all.
+func (m *Metrics) BatchedRanges(ranges, elems int) {
 	if m == nil {
 		return
 	}
-	m.batchedRanges.Add(1)
+	m.batchedRanges.Add(int64(ranges))
 	m.batchedElems.Add(int64(elems))
 }
 
@@ -725,11 +733,13 @@ func (m *Metrics) Snapshot() Snapshot {
 		AuditRuns:              m.auditRuns.Load(),
 		AuditFailures:          m.auditFailures.Load(),
 	}
-	m.mu.Lock()
-	s.VPNBusy = make([]int64, len(m.vpnBusy))
-	for k, c := range m.vpnBusy {
-		s.VPNBusy[k] = c.v.Load()
+	if t := m.vpnBusy.Load(); t != nil {
+		s.VPNBusy = make([]int64, len(*t))
+		for k, c := range *t {
+			s.VPNBusy[k] = c.v.Load()
+		}
 	}
+	m.mu.Lock()
 	if len(m.abortReasons) > 0 {
 		s.AbortReasons = make(map[string]int64, len(m.abortReasons))
 		for k, v := range m.abortReasons {

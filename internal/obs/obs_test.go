@@ -10,7 +10,7 @@ import (
 func TestNilMetricsAndTracerAreInert(t *testing.T) {
 	var m *Metrics
 	m.IterIssued(5)
-	m.IterExecuted(3)
+	m.IterExecutedN(3, 1)
 	m.OvershotAdd(1)
 	m.QuitPosted()
 	m.GuidedChunk(7)
@@ -43,7 +43,7 @@ func TestMetricsConcurrentAccumulation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				m.IterIssued(1)
-				m.IterExecuted(vpn)
+				m.IterExecutedN(vpn, 1)
 				m.TrackedStore()
 			}
 			m.GuidedChunk(vpn + 1)

@@ -53,8 +53,8 @@ func TestCountersCoverEveryScalarField(t *testing.T) {
 func TestWritePrometheusFormat(t *testing.T) {
 	m := NewMetrics()
 	m.IterIssued(3)
-	m.IterExecuted(0)
-	m.IterExecuted(2)
+	m.IterExecutedN(0, 1)
+	m.IterExecutedN(2, 1)
 	m.SpecAbort("violation")
 	var b strings.Builder
 	if err := WritePrometheus(&b, "whilepard", m.Snapshot()); err != nil {
@@ -77,11 +77,11 @@ func TestWritePrometheusFormat(t *testing.T) {
 func TestSnapshotAdd(t *testing.T) {
 	a := NewMetrics()
 	a.IterIssued(5)
-	a.IterExecuted(0)
+	a.IterExecutedN(0, 1)
 	a.SpecAbort("x")
 	b := NewMetrics()
 	b.IterIssued(7)
-	b.IterExecuted(3)
+	b.IterExecutedN(3, 1)
 	b.SpecAbort("x")
 	b.SpecAbort("y")
 

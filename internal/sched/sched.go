@@ -49,10 +49,10 @@ type Schedule int
 const (
 	// Dynamic self-scheduling: each free processor claims the next
 	// unissued chunk of iterations from the shared counter, the chunk
-	// growing geometrically (1, 2, 4, ... capped relative to n/p) so
-	// the fetch-add and metrics costs amortize while the first claims
+	// growing geometrically (Geometric: 1, 2, 4, ... capped relative to
+	// n/p) so the claim's shared write amortizes while the first claims
 	// stay small enough for load balance (the paper's dynamically
-	// scheduled DOALL, used by Induction-1/2 and General-1/3).
+	// scheduled DOALL, used by Induction-1/2).
 	Dynamic Schedule = iota
 	// Static mod-p assignment: processor k runs iterations congruent to
 	// k modulo p (the assignment of General-2).
@@ -140,14 +140,16 @@ type blockCursor struct {
 // tally is one worker's private accounting, written once per chunk and
 // padded so that no two workers' tallies share a cache line.  The
 // iteration path itself writes nothing shared: what ran is recovered
-// after the join from the tallies and the claim cursors (see account).
+// after the join from the tallies and the claim cursors (see account);
+// the counts reach the Metrics once per worker, when it ends.
 type tally struct {
-	// executed counts the iterations whose body completed.
-	executed int
+	// issued and executed count the iterations claimed and the ones
+	// whose body completed.
+	issued, executed int
 	// hole is the unexecuted tail — indices lo, lo+stride, ... below
 	// hi — of the chunk this worker abandoned last.
 	hole struct{ lo, hi, stride int }
-	_    [32]byte
+	_    [24]byte
 }
 
 // doall is the shared state of one DOALL execution.
@@ -232,6 +234,7 @@ func DOALLCtx(ctx context.Context, n int, opts Options, body func(i, vpn int) Co
 	d := &doall{n: n, p: p, schedule: opts.Schedule, body: body, m: m, tr: opts.Tracer,
 		tallies: make([]tally, p)}
 	d.quitAt.Store(int64(n))
+	m.SizeVPNs(p)
 	if d.schedule == Stealing {
 		d.blocks = make([]blockCursor, p)
 		d.blockSpan = (n + p - 1) / p
@@ -305,7 +308,6 @@ func (d *doall) runChunk(lo, hi, stride, vpn int) (whole bool) {
 			d.stopped.Store(true)
 		}
 		t.executed += done
-		d.m.IterExecutedN(vpn, done)
 		if !whole {
 			t.hole.lo, t.hole.hi, t.hole.stride = lo+done*stride, hi, stride
 		}
@@ -337,12 +339,14 @@ func (d *doall) runChunk(lo, hi, stride, vpn int) (whole bool) {
 	return true
 }
 
-// geometric is the chunk-size sequence Dynamic and Stealing claim with:
-// per-worker claims double from 1 up to a cap that keeps at least ~8
-// chunks per worker available for balance.
-type geometric struct{ size, max int64 }
+// Geometric is the one chunk-size policy of the self-scheduled claim
+// loops (Dynamic and Stealing here, General-3 in genrec): a worker's
+// claim Size doubles from 1 up to min(64, n/(8p)), which keeps ~8
+// chunks per worker available for balance; an unknown n gets 64.
+type Geometric struct{ Size, max int64 }
 
-func newGeometric(n, p int) geometric {
+// NewGeometric starts the sequence for n iterations on p workers.
+func NewGeometric(n, p int) Geometric {
 	max := int64(n / (8 * p))
 	if max > 64 {
 		max = 64
@@ -350,14 +354,15 @@ func newGeometric(n, p int) geometric {
 	if max < 1 {
 		max = 1
 	}
-	return geometric{size: 1, max: max}
+	return Geometric{Size: 1, max: max}
 }
 
-func (g *geometric) grow() {
-	if g.size < g.max {
-		g.size *= 2
-		if g.size > g.max {
-			g.size = g.max
+// Grow doubles Size, up to the cap.
+func (g *Geometric) Grow() {
+	if g.Size < g.max {
+		g.Size *= 2
+		if g.Size > g.max {
+			g.Size = g.max
 		}
 	}
 }
@@ -369,12 +374,17 @@ func (g *geometric) grow() {
 // dead work.
 func (d *doall) worker(vpn int) {
 	n, p, m := int64(d.n), d.p, d.m
+	t := &d.tallies[vpn]
+	defer func() {
+		m.IterIssued(t.issued)
+		m.IterExecutedN(vpn, t.executed)
+	}()
 	switch d.schedule {
 	case Stealing:
 		// Claims hit the home block's private cursor first; only after
 		// the home block is drained (or killed by a QUIT below it) does
 		// the worker scan the other blocks, round-robin from its own.
-		chunk := newGeometric(d.n, p)
+		chunk := NewGeometric(d.n, p)
 		for k := 0; k < p; k++ {
 			b := (vpn + k) % p
 			end := int64((b + 1) * d.blockSpan)
@@ -396,20 +406,20 @@ func (d *doall) worker(vpn int) {
 					// covers the whole space.
 					break
 				}
-				size := chunk.size
+				size := chunk.Size
 				if rem := end - c; size > rem {
 					size = rem
 				}
 				if !cur.CompareAndSwap(c, c+size) {
 					continue
 				}
-				m.IterIssued(int(size))
+				t.issued += int(size)
 				if k == 0 {
 					m.DynamicChunk(int(size))
 				} else {
 					m.StealChunk(int(size))
 				}
-				chunk.grow()
+				chunk.Grow()
 				d.runChunk(int(c), int(c+size), 1, vpn)
 			}
 		}
@@ -418,13 +428,11 @@ func (d *doall) worker(vpn int) {
 		// order, as one strided chunk: once a smaller iteration has
 		// quit, the larger ones are not begun.
 		if vpn < d.n {
-			before := d.tallies[vpn].executed
 			whole := d.runChunk(vpn, d.n, p, vpn)
-			issued := d.tallies[vpn].executed - before
+			t.issued = t.executed
 			if !whole && !d.stopped.Load() {
-				issued++ // the iteration that found the QUIT below it
+				t.issued++ // the iteration that found the QUIT below it
 			}
-			m.IterIssued(issued)
 		}
 	case Guided:
 		for {
@@ -440,7 +448,7 @@ func (d *doall) worker(vpn int) {
 			if !d.next.CompareAndSwap(cur, cur+size) {
 				continue
 			}
-			m.IterIssued(int(size))
+			t.issued += int(size)
 			m.GuidedChunk(int(size))
 			if !d.runChunk(int(cur), int(cur+size), 1, vpn) {
 				return
@@ -451,22 +459,22 @@ func (d *doall) worker(vpn int) {
 		// monotone, chunks are processed in order with a per-iteration
 		// QUIT check, and no chunk is claimed once the counter passes
 		// the posted quit index.
-		chunk := newGeometric(d.n, p)
+		chunk := NewGeometric(d.n, p)
 		for {
 			cur := d.next.Load()
 			if d.stopped.Load() || cur >= n || cur > d.quitAt.Load() {
 				return
 			}
-			size := chunk.size
+			size := chunk.Size
 			if rem := n - cur; size > rem {
 				size = rem
 			}
 			if !d.next.CompareAndSwap(cur, cur+size) {
 				continue
 			}
-			m.IterIssued(int(size))
+			t.issued += int(size)
 			m.DynamicChunk(int(size))
-			chunk.grow()
+			chunk.Grow()
 			if !d.runChunk(int(cur), int(cur+size), 1, vpn) {
 				return
 			}

@@ -84,6 +84,13 @@ func TestHTTPSubmitAndStatus(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad program: %d", resp.StatusCode)
 	}
+	// A scalar read before the body assigns it is refused at submit,
+	// by name.
+	resp, out = postJob(t, srv, JobSpec{Kind: "while", MaxIter: 64,
+		Program: "while (i < n) {\n b[i] = x\n x = a[i]\n i = i + 1\n}"})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out["error"], `"x"`) {
+		t.Fatalf("read-before-assign program: %d %v", resp.StatusCode, out)
+	}
 }
 
 func TestHTTPOversizedBody413(t *testing.T) {

@@ -50,7 +50,7 @@ func (f *fusedTracker) LoadRange(a *mem.Array, lo, hi int, dst []float64, iter, 
 	for _, t := range f.tests {
 		t.MarkLoadRange(a, lo, hi, iter, vpn)
 	}
-	f.ts.StampLoadRange(a, lo, hi, dst)
+	f.ts.StampLoadRange(a, lo, hi, dst, vpn)
 }
 
 func (f *fusedTracker) StoreRange(a *mem.Array, lo int, src []float64, iter, vpn int) {

@@ -91,7 +91,7 @@ func (s *sigTracker) Store(a *mem.Array, idx int, v float64, iter, vpn int) {
 
 func (s *sigTracker) LoadRange(a *mem.Array, lo, hi int, dst []float64, iter, vpn int) {
 	s.sg.MarkLoadRange(a, lo, hi, iter, vpn)
-	s.ts.StampLoadRange(a, lo, hi, dst)
+	s.ts.StampLoadRange(a, lo, hi, dst, vpn)
 }
 
 func (s *sigTracker) StoreRange(a *mem.Array, lo int, src []float64, iter, vpn int) {

@@ -60,8 +60,9 @@ type SparseMemory struct {
 	explicit bool
 
 	// Optional observability hooks (nil-safe).
-	obsM *obs.Metrics
-	obsT obs.Tracer
+	obsM   *obs.Metrics
+	obsT   obs.Tracer
+	counts workerCounts
 }
 
 // sparseOld is one captured pre-loop value, tagged with its epoch.
@@ -79,7 +80,10 @@ type sparseStamp struct {
 
 // SetObs attaches observability hooks: m accumulates tracked/stamped
 // store counts and undo/restore counts; t receives undo events.
-func (s *SparseMemory) SetObs(mx *obs.Metrics, t obs.Tracer) { s.obsM, s.obsT = mx, t }
+// Per-access counts reach m at the next Undo, RestoreAll or Reset.
+func (s *SparseMemory) SetObs(mx *obs.Metrics, t obs.Tracer) {
+	s.obsM, s.obsT, s.counts = mx, t, newWorkerCounts(mx, s.procs)
+}
 
 type sparseKey struct {
 	arr *mem.Array
@@ -138,13 +142,13 @@ type sparseTracker struct{ s *SparseMemory }
 func (t sparseTracker) Load(a *mem.Array, idx, _, _ int) float64 { return loadData(&a.Data[idx]) }
 
 func (t sparseTracker) Store(a *mem.Array, idx int, v float64, iter, vpn int) {
-	t.s.obsM.TrackedStore()
 	t.s.store(a, idx, v, iter, vpn)
 }
 
 func (s *SparseMemory) store(a *mem.Array, idx int, v float64, iter, vpn int) {
 	k := sparseKey{a, idx}
 	kslot := s.slot(vpn)
+	s.counts.count(kslot, 1, 0, 0, 0)
 	// Capture the pre-loop value: the read must precede the LoadOrStore
 	// (see the type comment for why the first-touch winner is sound).
 	cur := loadData(&a.Data[idx])
@@ -176,19 +180,18 @@ func (s *SparseMemory) captured(kslot int, k sparseKey) {
 		s.touchedKeys[kslot] = append(s.touchedKeys[kslot], k)
 	}
 	s.touched.Add(1)
-	s.obsM.StampedStore()
+	s.counts.count(kslot, 0, 0, 0, 1)
 }
 
 // LoadRange copies [lo, hi) of a into dst with one interposition.
-func (t sparseTracker) LoadRange(a *mem.Array, lo, hi int, dst []float64, _, _ int) {
-	t.s.obsM.BatchedRange(hi - lo)
+func (t sparseTracker) LoadRange(a *mem.Array, lo, hi int, dst []float64, _, vpn int) {
+	t.s.counts.count(t.s.slot(vpn), 0, 1, hi-lo, 0)
 	loadDataRange(dst, a.Data[lo:hi])
 }
 
 // StoreRange performs len(src) tracked stores with one interposition.
 func (t sparseTracker) StoreRange(a *mem.Array, lo int, src []float64, iter, vpn int) {
-	t.s.obsM.TrackedStoresAdd(len(src))
-	t.s.obsM.BatchedRange(len(src))
+	t.s.counts.count(t.s.slot(vpn), 0, 1, len(src), 0)
 	for k, v := range src {
 		t.s.store(a, lo+k, v, iter, vpn)
 	}
@@ -221,6 +224,7 @@ func (s *SparseMemory) Undo(valid int) int {
 }
 
 func (s *SparseMemory) rewind(valid int) int {
+	s.counts.flush(s.obsM)
 	restored := 0
 	if s.touchedKeys != nil {
 		// Epoch mode: the capture journals list exactly this epoch's
@@ -296,6 +300,7 @@ func (s *SparseMemory) Stamp(a *mem.Array, idx int) int64 {
 // that revisits the same sparse working set per strip pays no
 // reallocation at all.  In explicit mode it reallocates every map.
 func (s *SparseMemory) Reset() {
+	s.counts.flush(s.obsM)
 	if s.explicit {
 		s.old = &sync.Map{}
 		for k := range s.stamps {

@@ -199,15 +199,53 @@ type Memory struct {
 	threshold int
 
 	// Optional observability hooks (nil-safe).
-	obsM *obs.Metrics
-	obsT obs.Tracer
+	obsM   *obs.Metrics
+	obsT   obs.Tracer
+	counts workerCounts
 }
 
 // SetObs attaches observability hooks: m accumulates tracked/stamped
 // store counts, checkpoint words, shard merges, undo and restore
 // counts; t receives checkpoint/undo/restore events.  Either may be
-// nil.  Must be set before the speculative execution begins.
-func (m *Memory) SetObs(mx *obs.Metrics, t obs.Tracer) { m.obsM, m.obsT = mx, t }
+// nil.  Must be set before the speculative execution begins.  Per-access
+// counts reach m at the next merge or stamp reset, at the latest in Release.
+func (m *Memory) SetObs(mx *obs.Metrics, t obs.Tracer) {
+	m.obsM, m.obsT, m.counts = mx, t, newWorkerCounts(mx, m.procs)
+}
+
+// workerCounts holds each worker's tracked stores, batched ranges and
+// elements, and sparse first-touch stamps in a slot padded to a cache
+// line, so the access paths write no shared line; flush adds them into
+// the Metrics after the barrier.  nil (no Metrics) counts nothing.
+type workerCounts []struct {
+	n [4]int
+	_ [32]byte
+}
+
+func newWorkerCounts(mx *obs.Metrics, procs int) workerCounts {
+	if mx == nil {
+		return nil
+	}
+	return make(workerCounts, procs)
+}
+
+func (wc workerCounts) count(k, stores, ranges, elems, stamped int) {
+	if wc != nil {
+		c := &wc[k].n
+		c[0], c[1], c[2], c[3] = c[0]+stores, c[1]+ranges, c[2]+elems, c[3]+stamped
+	}
+}
+
+// flush adds every worker's counts into mx and clears them.
+func (wc workerCounts) flush(mx *obs.Metrics) {
+	for k := range wc {
+		c := &wc[k].n
+		mx.TrackedStoresAdd(c[0])
+		mx.BatchedRanges(c[1], c[2])
+		mx.StampedStoresAdd(c[3])
+		*c = [4]int{}
+	}
+}
 
 // New creates a single-worker Memory over the given arrays — the shape
 // sequential re-execution and tests use.  Parallel executions must use
@@ -356,6 +394,7 @@ func newSharded(procs int, explicit bool, journal Journal, arrays ...*mem.Array)
 // not be used afterwards; call it when an engine invocation is done.
 // The tracked arrays themselves are caller-owned and untouched.
 func (m *Memory) Release() {
+	m.counts.flush(m.obsM)
 	for _, a := range m.arrays {
 		for _, s := range m.stamps[a] {
 			arena.PutInt64s(s)
@@ -391,6 +430,7 @@ func (m *Memory) Release() {
 func (m *Memory) Procs() int { return m.procs }
 
 func (m *Memory) resetStamps() {
+	m.counts.flush(m.obsM)
 	if m.explicit {
 		for _, sh := range m.stamps {
 			for _, s := range sh {
@@ -618,13 +658,13 @@ func (m *Memory) StampLoad(a *mem.Array, idx int) float64 { return loadData(&a.D
 // interface dispatch): record the writing iteration in the worker's
 // private shard — journaling the first touch per reset — then write.
 func (m *Memory) StampStore(a *mem.Array, idx int, v float64, iter, vpn int) {
-	m.obsM.TrackedStore()
+	k := m.slot(vpn)
+	m.counts.count(k, 1, 0, 0, 0)
 	if iter >= m.threshold {
 		if vw := m.viewOf(a); vw != nil {
 			if m.mergedOK.Load() {
 				m.mergedOK.Store(false)
 			}
-			k := m.slot(vpn)
 			if m.packed {
 				r, it := &vw.recs[k][idx], int64(iter)
 				if r.epoch != m.epoch {
@@ -662,10 +702,10 @@ func (m *Memory) StampStore(a *mem.Array, idx int, v float64, iter, vpn int) {
 	storeData(&a.Data[idx], v)
 }
 
-// StampLoadRange copies [lo, hi) of a into dst: loads pass through, one
-// interposition for the whole strip.
-func (m *Memory) StampLoadRange(a *mem.Array, lo, hi int, dst []float64) {
-	m.obsM.BatchedRange(hi - lo)
+// StampLoadRange copies [lo, hi) of a into dst for worker vpn: loads
+// pass through, one interposition for the whole strip.
+func (m *Memory) StampLoadRange(a *mem.Array, lo, hi int, dst []float64, vpn int) {
+	m.counts.count(m.slot(vpn), 0, 1, hi-lo, 0)
 	loadDataRange(dst, a.Data[lo:hi])
 }
 
@@ -673,15 +713,13 @@ func (m *Memory) StampLoadRange(a *mem.Array, lo, hi int, dst []float64) {
 // interposition: the stamp updates hit the worker's private shard with
 // plain writes, then the data is copied in one memmove.
 func (m *Memory) StampStoreRange(a *mem.Array, lo int, src []float64, iter, vpn int) {
-	n := len(src)
-	m.obsM.TrackedStoresAdd(n)
-	m.obsM.BatchedRange(n)
+	n, k := len(src), m.slot(vpn)
+	m.counts.count(k, n, 1, n, 0)
 	if iter >= m.threshold {
 		if vw := m.viewOf(a); vw != nil {
 			if m.mergedOK.Load() {
 				m.mergedOK.Store(false)
 			}
-			k := m.slot(vpn)
 			if m.packed {
 				rs := vw.recs[k]
 				it64 := int64(iter)
@@ -747,8 +785,8 @@ func (t stampTracker) Store(a *mem.Array, idx int, v float64, iter, vpn int) {
 
 // LoadRange copies [lo, hi) of a into dst: loads pass through, one
 // interposition for the whole strip.
-func (t stampTracker) LoadRange(a *mem.Array, lo, hi int, dst []float64, _, _ int) {
-	t.m.StampLoadRange(a, lo, hi, dst)
+func (t stampTracker) LoadRange(a *mem.Array, lo, hi int, dst []float64, _, vpn int) {
+	t.m.StampLoadRange(a, lo, hi, dst, vpn)
 }
 
 // StoreRange performs len(src) stamped stores with a single
@@ -768,6 +806,7 @@ func (t stampTracker) StoreRange(a *mem.Array, lo int, src []float64, iter, vpn 
 // O(n x procs); large worklists split across the Memory's workers.
 // (The packed layout's merge is per journaled block: mergePacked.)
 func (m *Memory) mergeStamps() {
+	m.counts.flush(m.obsM)
 	if m.mergedOK.Load() {
 		return
 	}

@@ -1,9 +1,11 @@
 package whilepar
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"whilepar/internal/sched"
@@ -205,5 +207,60 @@ func TestOptionsScheduleValidated(t *testing.T) {
 	head := BuildList(8, nil)
 	if _, err := RunList(head, func(it *Iter, nd *Node) bool { return true }, Class{}, bad); err == nil {
 		t.Fatal("RunList accepted an invalid schedule")
+	}
+}
+
+// TestWorkerCountsThroughEngines checks the per-worker store and range
+// counts end to end: the body counts, itself, every access it makes
+// through a tracker, and after the run the Metrics must hold exactly
+// that — on the whole-loop engine and on the stripped and pipelined
+// strip engines, at every worker count.
+func TestWorkerCountsThroughEngines(t *testing.T) {
+	const n, q = 3000, 2900
+	for _, s := range []Strategy{StrategySpeculate, StrategyRecover, StrategyPipeline} {
+		for procs := 1; procs <= 4; procs++ {
+			a, c := NewArray("A", n), NewArray("C", n)
+			scratch, b := NewArray("scratch", n), NewArray("B", 4)
+			var stores, ranges, elems atomic.Int64
+			l := &IntLoop{
+				Class: Class{Dispatcher: MonotonicInduction, Terminator: RV},
+				Disp:  IntInduction{C: 1},
+				Body: func(it *Iter, d int) bool {
+					if d == q {
+						return false
+					}
+					var in [4]float64
+					it.LoadRange(b, 0, 4, in[:])
+					it.Store(a, d, in[0]+1)
+					it.Store(scratch, d, 1) // untracked: counted all the same
+					it.StoreRange(c, d, in[:1])
+					if it.Tracker != nil {
+						stores.Add(3)
+						ranges.Add(2)
+						elems.Add(5)
+					}
+					return true
+				},
+				Max: n,
+			}
+			m := NewMetrics()
+			rep, err := RunContext(context.Background(), l, Options{Procs: procs, Strategy: s,
+				Validation: ValidationFull, Shared: []*Array{a, c}, Tested: []*Array{a}, Metrics: m})
+			if err != nil || rep.Valid != q {
+				t.Fatalf("%v p=%d: valid %d, err %v", s, procs, rep.Valid, err)
+			}
+			got := m.Snapshot()
+			if got.TrackedStores != stores.Load() || got.BatchedRanges != ranges.Load() ||
+				got.BatchedElems != elems.Load() {
+				t.Fatalf("%v p=%d: stores %d, ranges %d (%d elems); the body made %d, %d (%d)", s, procs,
+					got.TrackedStores, got.BatchedRanges, got.BatchedElems, stores.Load(), ranges.Load(), elems.Load())
+			}
+			if stores.Load() == 0 {
+				t.Fatalf("%v p=%d: no tracked access at all", s, procs)
+			}
+			if got.Executed != got.Overshot+int64(q) || got.Issued < got.Executed {
+				t.Fatalf("%v p=%d: issued %d executed %d overshot %d", s, procs, got.Issued, got.Executed, got.Overshot)
+			}
+		}
 	}
 }
