@@ -1,9 +1,28 @@
 package whilepar
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
+
+// An empty or negative iteration bound runs no iteration through either
+// pipeline facade, and returns rather than panicking.
+func TestWhileDoacrossEmpty(t *testing.T) {
+	body := func(i, _ int, d int) bool {
+		t.Errorf("iteration %d ran", i)
+		return true
+	}
+	next := func(d int) int { return d + 1 }
+	for _, max := range []int{0, -1, -5} {
+		if valid := WhileDoacross(0, next, nil, max, 2, body); valid != 0 {
+			t.Errorf("WhileDoacross max %d: valid = %d", max, valid)
+		}
+		if valid, err := WhileDoacrossContext(context.Background(), 0, next, nil, max, 2, body); valid != 0 || err != nil {
+			t.Errorf("WhileDoacrossContext max %d: valid = %d, err = %v", max, valid, err)
+		}
+	}
+}
 
 func TestWhileDoacrossPublic(t *testing.T) {
 	// while (d < 100) { out[i] = d; d = d*2 + 1 }: the dispatcher chain

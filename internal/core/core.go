@@ -19,6 +19,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -817,12 +818,12 @@ func RunListCtx(ctx context.Context, head *list.Node, body genrec.Body, class lo
 		case General2:
 			r, rerr = genrec.General2Ctx(ctx, head, body, c)
 		case DoacrossList:
-			bound := list.Len(head)
+			// No bound: the RI condition finds the end of the list.
 			slots := loopir.NewIterSlots(opt.procs())
 			res, derr := doacross.RunWhile(ctx, head,
 				func(n *list.Node) *list.Node { return n.Next },
 				func(n *list.Node) bool { return n != nil },
-				bound, doacross.Config{Procs: opt.procs(), Hooks: opt.hooks(), Pool: pool},
+				math.MaxInt, doacross.Config{Procs: opt.procs(), Hooks: opt.hooks(), Pool: pool},
 				func(i, vpn int, nd *list.Node) bool {
 					return body(slots.At(vpn, i, c.Tracker), nd)
 				})

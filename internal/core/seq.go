@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime/debug"
-	"sync/atomic"
 
 	"whilepar/internal/cancel"
 	"whilepar/internal/genrec"
@@ -19,15 +19,17 @@ import (
 // calling goroutine, so that all of them stop when the context does and
 // contain a panicking body.
 //
-// Cancellation is observed through a flag a context.AfterFunc flips:
-// one atomic load per iteration, where cancel.Err would take the
-// context's mutex every time.  A panic is caught by one recover per
-// advance, not one per iteration; the panicking iteration's index is
-// read back from the Iter the body was handed.
+// Cancellation is observed through the stop signal (cancel.Stop): one
+// atomic load per iteration of a flag the context's watcher sets when a
+// processor is free to run it, and that the runner sets itself from its
+// own poll of the context before the first iteration and after every
+// cancel.PollEvery iterations — so a done context, or an expired
+// deadline, stops it within that many iterations.  A panic is caught by
+// one recover per advance, not one per iteration; the panicking
+// iteration's index is read back from the Iter the body was handed.
 type seqRun[D any] struct {
-	l   *loopir.Loop[D]
-	ctx context.Context
-	m   *obs.Metrics
+	l *loopir.Loop[D]
+	m *obs.Metrics
 	// it is re-armed for every iteration (the seqRun is on the heap, so
 	// handing its address to the body allocates nothing).
 	it loopir.Iter
@@ -39,7 +41,7 @@ type seqRun[D any] struct {
 	// body said stop, or Max was reached.
 	done bool
 
-	stop    atomic.Bool
+	stop    cancel.Stop
 	release func() bool
 }
 
@@ -52,18 +54,12 @@ func newSeqRun[D any](ctx context.Context, l *loopir.Loop[D], from int, d D, m *
 		m.CtxCancel()
 		return nil, err
 	}
-	s := &seqRun[D]{l: l, ctx: ctx, m: m, i: from, d: d}
-	if ctx != nil && ctx.Done() != nil {
-		s.release = context.AfterFunc(ctx, func() { s.stop.Store(true) })
-	}
+	s := &seqRun[D]{l: l, m: m, i: from, d: d}
+	s.release = s.stop.Watch(ctx)
 	return s, nil
 }
 
-func (s *seqRun[D]) close() {
-	if s.release != nil {
-		s.release()
-	}
-}
+func (s *seqRun[D]) close() { s.release() }
 
 // advance runs iterations from s.i up to limit (exclusive; limit <= 0
 // means to the loop's own end) under trk, nil for direct access.  It
@@ -77,6 +73,9 @@ func (s *seqRun[D]) advance(limit int, trk mem.Tracker) (err error) {
 	if l.Max > 0 && (limit <= 0 || limit > l.Max) {
 		limit = l.Max
 	}
+	if limit <= 0 {
+		limit = math.MaxInt
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.WorkerPanic()
@@ -84,19 +83,31 @@ func (s *seqRun[D]) advance(limit int, trk mem.Tracker) (err error) {
 			err = &cancel.PanicError{Iter: s.i, VPN: 0, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	i, d, it := s.i, s.d, &s.it
-	for ; limit <= 0 || i < limit; i++ {
-		if s.stop.Load() {
-			s.i, s.d = i, d
-			s.m.CtxCancel()
-			return cancel.Err(s.ctx)
+	i, d, it, left := s.i, s.d, &s.it, 0
+	for i < limit {
+		// The run of iterations up to the next poll of the context: the
+		// per-iteration check is the stop flag alone.
+		if left == 0 {
+			left = s.stop.Poll()
 		}
-		*it = loopir.Iter{Index: i, Tracker: trk}
-		if (l.Cond != nil && !l.Cond(d)) || !l.Body(it, d) {
-			s.i, s.d, s.done = i, d, true
-			return nil
+		end := limit
+		if limit-i > left {
+			end = i + left
 		}
-		d = l.Disp.Next(d)
+		left -= end - i
+		for ; i < end; i++ {
+			if s.stop.Stopped() {
+				s.i, s.d = i, d
+				s.m.CtxCancel()
+				return s.stop.Err()
+			}
+			*it = loopir.Iter{Index: i, Tracker: trk}
+			if (l.Cond != nil && !l.Cond(d)) || !l.Body(it, d) {
+				s.i, s.d, s.done = i, d, true
+				return nil
+			}
+			d = l.Disp.Next(d)
+		}
 	}
 	s.i, s.d = i, d
 	s.done = l.Max > 0 && i >= l.Max

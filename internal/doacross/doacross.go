@@ -29,11 +29,9 @@ package doacross
 
 import (
 	"context"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
-	"whilepar/internal/cancel"
 	"whilepar/internal/obs"
 	"whilepar/internal/sched"
 	"whilepar/internal/simproc"
@@ -139,10 +137,13 @@ type Config struct {
 // order (a DOACROSS requirement — iteration i's waiters must already be
 // running or done).
 //
-// Cancellation is observed at claim boundaries: once ctx is done,
-// workers stop running bodies, drain their claimed indices by posting
-// them (so in-flight waiters are always released), and the call returns
-// the Result so far with ErrCanceled/ErrDeadline.  A panicking body is
+// Cancellation is observed before every iteration, through the stop
+// signal of sched.Claim: the context's watcher sets it when a processor
+// is free to run it, and each worker's own poll after every
+// cancel.PollEvery iterations it runs.  Once it is set, workers stop
+// running bodies, drain their claimed indices by posting them (so
+// in-flight waiters are always released), and the call returns the
+// Result so far with ErrCanceled/ErrDeadline.  A panicking body is
 // contained as a *cancel.PanicError, stops the pipeline like a
 // cancellation, and still posts its iteration.
 func Run(ctx context.Context, n int, cfg Config, body func(i, vpn int, s *Sync) Control) (Result, error) {
@@ -157,52 +158,32 @@ func Run(ctx context.Context, n int, cfg Config, body func(i, vpn int, s *Sync) 
 		return Result{QuitIndex: 0}, nil
 	}
 	h := cfg.Hooks
-	if err := cancel.Err(ctx); err != nil {
-		h.M.CtxCancel()
+	c, err := sched.NewClaim(ctx, n, procs, sched.InOrder, h.M)
+	if err != nil {
 		return Result{QuitIndex: n}, err
 	}
+	defer c.Close()
 	s := NewSync()
-	var (
-		next    atomic.Int64
-		quit    atomic.Int64
-		stopped atomic.Bool
-		panicAt atomic.Pointer[cancel.PanicError]
-	)
-	quit.Store(int64(n))
-	ran := make([]bool, n)
-	h.M.SizeVPNs(procs)
-	if ctx != nil && ctx.Done() != nil {
-		stopWatch := context.AfterFunc(ctx, func() { stopped.Store(true) })
-		defer stopWatch()
-	}
 
-	runIter := func(i, vpn int) (completed bool) {
+	// runIter runs iteration i's body; false means it panicked.
+	runIter := func(w *sched.Worker, i, vpn int) (completed bool) {
 		// The runtime's completion post must fire on every path out of
 		// the body — normal return, QUIT, panic — because posts are what
 		// drain the pipeline (deferred: it runs after the recover below).
 		defer s.Post(i)
 		defer func() {
 			if r := recover(); r != nil {
-				pe := &cancel.PanicError{Iter: i, VPN: vpn, Value: r, Stack: debug.Stack()}
-				if panicAt.CompareAndSwap(nil, pe) {
-					h.M.WorkerPanic()
-				}
-				stopped.Store(true)
+				c.Panic(i, vpn, r)
 			}
 		}()
 		ts := obs.Start(h.T)
-		c := body(i, vpn, s)
-		ran[i] = true
+		ctl := body(i, vpn, s)
+		w.Executed++
 		if h.T != nil {
 			obs.Span(h.T, ts, "iter", "doacross", vpn, map[string]any{"i": i})
 		}
-		if c == Quit {
-			for {
-				cur := quit.Load()
-				if int64(i) >= cur || quit.CompareAndSwap(cur, int64(i)) {
-					break
-				}
-			}
+		if ctl == Quit {
+			c.Quit(i)
 			h.M.QuitPosted()
 			if h.T != nil {
 				obs.Instant(h.T, "QUIT", "doacross", vpn, map[string]any{"i": i})
@@ -211,80 +192,33 @@ func Run(ctx context.Context, n int, cfg Config, body func(i, vpn int, s *Sync) 
 		return true
 	}
 
-	worker := func(vpn int) {
-		// Counted on the worker's own stack, flushed once as it ends.
-		issued, executed := 0, 0
-		defer func() {
-			h.M.IterIssued(issued)
-			h.M.IterExecutedN(vpn, executed)
-		}()
+	c.Run(cfg.Pool, func(vpn int) {
+		w := c.Worker(vpn)
 		for {
-			i := int(next.Add(1) - 1)
-			if i >= n {
+			i, _, ok := c.Next(w)
+			if !ok {
 				return
 			}
-			issued++
-			if stopped.Load() || int64(i) > quit.Load() {
+			c.Span(w, i, i+1, 1)
+			if !c.Go(i) {
 				// Post-only drain: a claimed index must post even when
 				// its body is suppressed.  A later-claimed iteration may
-				// have checked quit before this QUIT/cancel landed and
-				// be waiting on this index — returning silently would
+				// have checked before this QUIT/cancel landed and be
+				// waiting on this index — returning silently would
 				// strand it.
+				w.Owe(i, i+1, 1)
 				s.Post(i)
 				return
 			}
-			if runIter(i, vpn) {
-				executed++
+			if !runIter(w, i, vpn) {
+				w.Owe(i, i+1, 1)
+				return
 			}
 		}
-	}
-	if pool := cfg.Pool; pool != nil {
-		h.M.PoolDispatch(procs)
-		if err := pool.Run(func(vpn int) {
-			if vpn < procs {
-				worker(vpn)
-			}
-		}); err != nil {
-			if pe, ok := cancel.AsPanic(err); ok && panicAt.CompareAndSwap(nil, pe) {
-				h.M.WorkerPanic()
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(procs)
-		for k := 0; k < procs; k++ {
-			go func(vpn int) {
-				defer wg.Done()
-				worker(vpn)
-			}(k)
-		}
-		wg.Wait()
-	}
+	})
 
-	q := int(quit.Load())
-	prefix, executed := -1, 0
-	for i, r := range ran {
-		if r {
-			executed++
-		} else if prefix < 0 {
-			prefix = i
-		}
-	}
-	if prefix < 0 {
-		prefix = n
-	}
-	if q < prefix {
-		prefix = q
-	}
-	res := Result{Executed: executed, QuitIndex: q, Prefix: prefix}
-	if pe := panicAt.Load(); pe != nil {
-		return res, pe
-	}
-	if err := cancel.Err(ctx); err != nil {
-		h.M.CtxCancel()
-		return res, err
-	}
-	return res, nil
+	res := c.Account()
+	return Result{Executed: res.Executed, QuitIndex: res.QuitIndex, Prefix: res.Prefix}, c.Err()
 }
 
 // RunWhile pipelines a WHILE loop with a sequential dispatcher: start is
@@ -298,35 +232,41 @@ func Run(ctx context.Context, n int, cfg Config, body func(i, vpn int, s *Sync) 
 // no traversal is redundant, but every iteration serializes on its
 // predecessor's dispatcher hand-off.
 //
-// Cancellation and panics behave as in Run: a drained (never-run)
-// iteration leaves its successor's hand-off unpublished, so any
-// iteration that does run past it observes a missing predecessor value
-// and terminates — the committed prefix in Result.Prefix is exact.
+// The hand-off is a ring of two index-tagged slots: iteration i reads
+// slot i%2 and writes slot (i+1)%2 only after its Wait on i-1 returned,
+// which is after i-1 read that slot.  Cancellation and panics behave as
+// in Run: a drained (never-run) iteration leaves its successor's slot
+// with a stale tag, so any iteration that does run past it observes a
+// missing predecessor value and terminates — the committed prefix in
+// Result.Prefix is exact.
 func RunWhile[D any](ctx context.Context, start D, next func(D) D, cont func(D) bool, max int,
 	cfg Config, body func(i, vpn int, d D) bool) (Result, error) {
-	vals := make([]D, max+1)
-	ok := make([]bool, max+1)
-	if max >= 0 {
-		vals[0] = start
-		ok[0] = true
+	var ring [2]struct {
+		// tag is the iteration whose dispatcher value d holds.  A slot
+		// whose tag is stale may still be being written by an iteration
+		// that lost its own predecessor, so d is read only under a
+		// matching tag.
+		tag atomic.Int64
+		d   D
 	}
+	ring[0].d = start
 
 	return Run(ctx, max, cfg, func(i, vpn int, s *Sync) Control {
 		s.Wait(i, i-1) // dispatcher value d(i) produced by iteration i-1
-		if !ok[i] {
-			return Quit // predecessor already terminated the recurrence
+		in := &ring[i%2]
+		if in.tag.Load() != int64(i) {
+			return Quit // predecessor never ran: the recurrence stops here
 		}
-		d := vals[i]
+		d := in.d
 		if cont != nil && !cont(d) {
 			return Quit
 		}
 		// Advance the recurrence, publish d(i+1), and post the hand-off
 		// immediately so iteration i+1 starts while this iteration's
 		// remainder is still running — the overlap is the whole point.
-		if i+1 <= max {
-			vals[i+1] = next(d)
-			ok[i+1] = true
-		}
+		out := &ring[(i+1)%2]
+		out.d = next(d)
+		out.tag.Store(int64(i + 1))
 		s.Post(i)
 		if !body(i, vpn, d) {
 			return Quit

@@ -109,6 +109,13 @@ func TestRunEmptyAndProcsCoercion(t *testing.T) {
 	if res.Executed != 0 || res.QuitIndex != 0 {
 		t.Fatalf("empty run %+v", res)
 	}
+	for _, max := range []int{0, -1, -5} {
+		res, err := RunWhile(context.Background(), 0, func(d int) int { return d + 1 }, nil, max, Config{Procs: -3},
+			func(i, _, _ int) bool { return true })
+		if err != nil || res.Executed != 0 || res.QuitIndex != 0 || res.Prefix != 0 {
+			t.Fatalf("RunWhile max %d: %+v, err %v", max, res, err)
+		}
+	}
 }
 
 func TestRunWhilePipelinesRecurrence(t *testing.T) {

@@ -31,34 +31,34 @@ func Chunked(c list.Chunked, body Body, cfg Config) Result {
 		chunks = append(chunks, ch)
 	}
 	n := c.Len()
-	quit := newQuitMin(n)
-	var executed, overshot, hops atomic.Int64
-	hops.Add(int64(len(chunks))) // the header walk
-
+	// A chunk stops at its first RV exit and reports it as a QUIT, so the
+	// DOALL's quit index is the first exiting chunk, and that chunk's
+	// exit the first exiting element.
+	exitAt := make([]int, len(chunks))
+	var executed atomic.Int64
 	slots := loopir.NewIterSlots(p)
-	sched.DOALL(len(chunks), sched.Options{Procs: p}, func(ci, vpn int) sched.Control {
+	res := sched.DOALL(len(chunks), sched.Options{Procs: p}, func(ci, vpn int) sched.Control {
 		ch := chunks[ci]
-		base := offs[ci]
 		for j := range ch.Elems {
-			i := base + j
-			if i > quit.get() {
-				return sched.Continue
-			}
+			i := offs[ci] + j
 			if !body(slots.At(vpn, i, cfg.Tracker), &ch.Elems[j]) {
-				quit.record(i)
-			}
-			executed.Add(1)
-			if i > quit.get() {
-				overshot.Add(1)
+				executed.Add(int64(j + 1))
+				exitAt[ci] = i
+				return sched.Quit
 			}
 		}
+		executed.Add(int64(len(ch.Elems)))
 		return sched.Continue
 	})
+	valid := n
+	if res.QuitIndex < len(chunks) {
+		valid = exitAt[res.QuitIndex]
+	}
 	return Result{
-		Valid:    quit.get(),
+		Valid:    valid,
 		Executed: int(executed.Load()),
-		Overshot: int(overshot.Load()),
-		Hops:     hops.Load(),
+		Overshot: int(executed.Load()) - valid,
+		Hops:     int64(len(chunks)), // the header walk
 	}
 }
 

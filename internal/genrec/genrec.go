@@ -24,7 +24,6 @@ package genrec
 
 import (
 	"context"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -95,179 +94,93 @@ type Result struct {
 	Hops int64
 }
 
-// ctxGuard bundles the cancellation and panic plumbing shared by the
-// three general methods: a stop flag flipped by context.AfterFunc (one
-// plain atomic load per iteration instead of a channel poll) and
-// first-panic capture.
-type ctxGuard struct {
-	stop    atomic.Bool
-	panicAt atomic.Pointer[cancel.PanicError]
-	release func() bool
-}
-
-func newCtxGuard(ctx context.Context) *ctxGuard {
-	g := &ctxGuard{}
-	if ctx != nil && ctx.Done() != nil {
-		g.release = context.AfterFunc(ctx, func() { g.stop.Store(true) })
-	}
-	return g
-}
-
-func (g *ctxGuard) done() {
-	if g.release != nil {
-		g.release()
-	}
-}
-
-// contain runs one iteration's body behind a recover backstop.  ok is
-// false when the body panicked: the panic has been captured (first one
-// wins), siblings have been told to stop, and the caller must not
-// count the iteration as executed.
-func (g *ctxGuard) contain(body Body, it *loopir.Iter, node *list.Node, m *obs.Metrics) (quitted, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			pe := &cancel.PanicError{Iter: it.Index, VPN: it.VPN, Value: r, Stack: debug.Stack()}
-			if g.panicAt.CompareAndSwap(nil, pe) {
-				m.WorkerPanic()
-			}
-			g.stop.Store(true)
-			ok = false
-		}
-	}()
-	return !body(it, node), true
-}
-
-// quitMin tracks the smallest iteration index that signalled an RV exit.
-type quitMin struct{ v atomic.Int64 }
-
-func newQuitMin(def int) *quitMin {
-	q := &quitMin{}
-	q.v.Store(int64(def))
-	return q
-}
-
-func (q *quitMin) record(i int) {
-	for {
-		cur := q.v.Load()
-		if int64(i) >= cur || q.v.CompareAndSwap(cur, int64(i)) {
-			return
-		}
-	}
-}
-
-func (q *quitMin) get() int { return int(q.v.Load()) }
-
-// none marks a worker that owes no iteration.
-const none = int(^uint(0) >> 1)
-
-// run is the state the workers of one general-method execution share.
+// run is the state the workers of one general-method execution share:
+// the sched.Claim that holds the stop signal, the QUIT minimum, the
+// first panic, each worker's counts and owed iteration and the claim
+// cursor, plus the hops the workers made.
 //
 // No per-iteration record is kept of what ran.  Every method executes
 // each claimed (or statically owned) iteration in turn and stops at the
 // first it does not execute, so a worker's whole history is two
 // numbers: how many bodies it completed, and the one iteration it
-// claimed or owned and abandoned — to a panic, or in General-2 to the
-// stop flag.  Together with the methods' claim cursor those give the
-// contiguous executed prefix exactly, and since every iteration below
-// the valid count ran exactly once, Overshot is Executed - Valid.
+// claimed or owned and abandoned.  Together with the claim cursor those
+// give the contiguous executed prefix exactly (sched.Claim.Account), and
+// since every iteration below the valid count ran exactly once,
+// Overshot is Executed - Valid.
 type run struct {
+	*sched.Claim
 	cfg    Config
 	method string // tracer category
 	body   Body
-	quit   *quitMin
-	g      *ctxGuard
 	slots  loopir.IterSlots
 	hops   atomic.Int64
-	// Indexed by vpn, each element written once, by fold.
-	executed, owed []int
 }
 
-func newRun(ctx context.Context, method string, body Body, cfg Config, bound int) *run {
-	p := cfg.procs()
-	r := &run{cfg: cfg, method: method, body: body, quit: newQuitMin(bound), g: newCtxGuard(ctx),
-		slots: loopir.NewIterSlots(p), executed: make([]int, p), owed: make([]int, p)}
-	for vpn := range r.owed {
-		r.owed[vpn] = none
+// start sets up an execution over at most bound iterations under the
+// given issue, runs work on every virtual processor with a worker of
+// its own, and resolves the Result after the join.  The valid count is
+// the quit index — an RV exit, the bound, or the list length the worker
+// that fell off the list posted — capped at the contiguous executed
+// prefix; the error is a contained panic, else the context's.
+func start(ctx context.Context, method string, body Body, cfg Config, bound int, issue sched.Schedule,
+	work func(w *worker)) (Result, error) {
+	c, err := sched.NewClaim(ctx, bound, cfg.procs(), issue, cfg.Metrics)
+	if err != nil {
+		return Result{}, err
 	}
-	return r
-}
-
-// each runs work on every virtual processor with a worker of its own and
-// folds each worker's private counts in as it ends.
-func (r *run) each(ctx context.Context, work func(w *worker)) error {
-	return sched.ForEachProc(ctx, r.cfg.procs(), sched.ProcConfig{Hooks: r.cfg.hooks(), Pool: r.cfg.Pool}, func(vpn int) {
-		w := worker{run: r, vpn: vpn, owed: r.owed[vpn]}
-		defer w.fold()
+	defer c.Close()
+	r := &run{Claim: c, cfg: cfg, method: method, body: body, slots: loopir.NewIterSlots(cfg.procs())}
+	c.Run(cfg.Pool, func(vpn int) {
+		w := worker{run: r, rec: c.Worker(vpn), vpn: vpn}
+		defer func() { r.hops.Add(int64(w.hops)) }()
 		work(&w)
 	})
+	res := c.Account()
+	overshot := res.Executed - res.Prefix
+	cfg.Metrics.OvershotAdd(overshot)
+	return Result{Valid: res.Prefix, Executed: res.Executed, Overshot: overshot, Hops: r.hops.Load()}, c.Err()
 }
 
-// result resolves the execution's outcome after the join.  valid is the
-// quit-derived valid count and claimed the first iteration no worker
-// claimed (none for a static assignment).  When the run ended early,
-// holes may sit below valid: it is capped at the contiguous executed
-// prefix, the lowest iteration somebody owed or nobody claimed.  The
-// error surfaced is an iteration-precise panic before the join error,
-// itself either a pool-backstop panic or the wrapped context error.
-func (r *run) result(valid, claimed int, runErr error) (Result, error) {
-	r.g.done()
-	err := runErr
-	if pe := r.g.panicAt.Load(); pe != nil {
-		err = pe
-	}
-	executed := 0
-	for vpn, n := range r.executed {
-		executed += n
-		if err != nil && r.owed[vpn] < claimed {
-			claimed = r.owed[vpn]
-		}
-	}
-	if err != nil && claimed < valid {
-		valid = claimed
-	}
-	overshot := executed - valid
-	r.cfg.Metrics.OvershotAdd(overshot)
-	return Result{Valid: valid, Executed: executed, Overshot: overshot, Hops: r.hops.Load()}, err
-}
-
-// worker is one virtual processor's private state.  Everything that is
-// only summed at the end — hops, issued and executed counts, the owed
-// iteration — accumulates here, in memory no other worker touches, and
-// is folded into the shared state once, by fold.
+// worker is one virtual processor's view of the execution: its record
+// in the claim, and the hops it made, folded into the total as it ends.
 type worker struct {
 	*run
-	vpn                    int
-	hops, issued, executed int
-	// owed is the iteration this worker must still execute for the
-	// prefix to pass it; none when it has no such iteration.
-	owed int
+	rec       *sched.Worker
+	vpn, hops int
 }
 
-func (w *worker) fold() {
-	w.run.hops.Add(int64(w.hops))
-	w.cfg.Metrics.IterIssued(w.issued)
-	w.cfg.Metrics.IterExecutedN(w.vpn, w.executed)
-	w.run.executed[w.vpn], w.run.owed[w.vpn] = w.executed, w.owed
+// may is the per-iteration check: it reports whether the worker may
+// begin iteration i, and leaves i owed when it may not — the execution
+// was stopped or a QUIT below i was posted.  Its runs of iterations are
+// bounded by sched.Claim.Span.
+func (w *worker) may(i int) bool {
+	if !w.Go(i) {
+		w.rec.Owe(i, i+1, 1)
+		return false
+	}
+	return true
 }
 
 // exec runs iteration i on node behind the panic backstop, counts it
 // and posts its RV exit.  It returns false when the body panicked and
 // the worker must stop; the iteration stays owed.
-func (w *worker) exec(i int, node *list.Node) bool {
+func (w *worker) exec(i int, node *list.Node) (ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			w.Panic(i, w.vpn, r)
+			w.rec.Owe(i, i+1, 1)
+			ok = false
+		}
+	}()
 	tr := w.cfg.Tracer
 	ts := obs.Start(tr)
-	w.owed = i
-	quitted, ok := w.g.contain(w.body, w.slots.At(w.vpn, i, w.cfg.Tracker), node, w.cfg.Metrics)
-	if !ok {
-		return false
-	}
-	w.owed = none
-	w.executed++
+	quitted := !w.body(w.slots.At(w.vpn, i, w.cfg.Tracker), node)
+	w.rec.Executed++
 	if tr != nil {
 		obs.Span(tr, ts, "iter", w.method, w.vpn, map[string]any{"i": i})
 	}
 	if quitted {
-		w.quit.record(i)
+		w.Quit(i)
 		w.cfg.Metrics.QuitPosted()
 		if tr != nil {
 			obs.Instant(tr, "QUIT", w.method, w.vpn, map[string]any{"i": i})
@@ -289,55 +202,50 @@ func General1(head *list.Node, body Body, cfg Config) Result {
 	return res
 }
 
-// General1Ctx is General1 under a context: cancellation is observed at
-// iteration boundaries (workers stop claiming list nodes within one
-// iteration), the returned Result reports the contiguous committed
-// prefix in Valid, and the error is ErrCanceled/ErrDeadline.  A
-// panicking body is contained as a *cancel.PanicError and stops the
-// traversal the same way.
+// General1Ctx is General1 under a context: the workers check the stop
+// signal before every iteration — set by the context's watcher when a
+// processor is free to run it, and by each worker's own poll after
+// every cancel.PollEvery iterations it runs, so once ctx is done a
+// worker begins at most that many more — the returned Result reports
+// the contiguous committed prefix in Valid, and the error is
+// ErrCanceled/ErrDeadline.  A panicking body is contained as a
+// *cancel.PanicError and stops the traversal the same way.
 func General1Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (Result, error) {
 	var (
 		mu  sync.Mutex
 		cur = head
-		idx int
 	)
 	bound := cfg.U
 	if bound <= 0 {
-		bound = int(^uint(0) >> 1) // effectively unbounded; nil ends it
+		bound = none // nil ends it
 	}
-	r := newRun(ctx, "general-1", body, cfg, bound)
-	runErr := r.each(ctx, func(w *worker) {
+	return start(ctx, "general-1", body, cfg, bound, sched.InOrder, func(w *worker) {
 		for {
 			mu.Lock()
-			if r.g.stop.Load() || cur == nil || idx >= bound || idx > r.quit.get() {
-				mu.Unlock()
+			i, _, ok := w.Next(w.rec)
+			pt := cur
+			if ok && pt != nil {
+				cur = pt.Next
+			}
+			mu.Unlock()
+			if !ok {
 				return
 			}
-			pt := cur
-			i := idx
-			cur = cur.Next
-			idx++
-			mu.Unlock()
+			if pt == nil {
+				w.Quit(i) // fell off the list: its length caps validity
+				return
+			}
 			w.hops++
-			w.issued++
-			if !w.exec(i, pt) {
+			w.Span(w.rec, i, i+1, 1)
+			if !w.may(i) || !w.exec(i, pt) {
 				return
 			}
 		}
 	})
-	valid := r.quit.get()
-	if valid >= bound {
-		valid = idxClamp(idx, bound)
-	}
-	return r.result(valid, idx, runErr)
 }
 
-func idxClamp(n, bound int) int {
-	if n > bound {
-		return bound
-	}
-	return n
-}
+// none is the bound of a list whose length is not known beforehand.
+const none = int(^uint(0) >> 1)
 
 // General2 runs the loop with static mod-p assignment (Figure 4,
 // *General-2*): each processor traverses the entire list with a private
@@ -353,41 +261,33 @@ func General2(head *list.Node, body Body, cfg Config) Result {
 }
 
 // General2Ctx is General2 under a context (see General1Ctx for the
-// cancellation and panic contract).
+// cancellation and panic contract).  Nothing walks the list beforehand:
+// the worker that falls off it posts its length as a QUIT.
 func General2Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (Result, error) {
 	p := cfg.procs()
-	n := list.Len(head) // headers walk; counted as hops below per processor
-	r := newRun(ctx, "general-2", body, cfg, n)
-	// Worker k owns iterations k, k+p, ...: until it runs, it owes k.
-	for vpn := range r.owed {
-		r.owed[vpn] = vpn
-	}
-	runErr := r.each(ctx, func(w *worker) {
-		pt := head
-		// Initial advance to this processor's first iteration.
-		for j := 0; j < w.vpn && pt != nil; j++ {
-			pt = pt.Next
-			w.hops++
-		}
-		for i := w.vpn; pt != nil; i += p {
-			w.owed = i
-			if r.g.stop.Load() {
-				return
-			}
-			w.issued++
-			if i > r.quit.get() {
-				return
-			}
-			if !w.exec(i, pt) {
-				return
-			}
-			for j := 0; j < p && pt != nil; j++ {
+	return start(ctx, "general-2", body, cfg, none, sched.Static, func(w *worker) {
+		// pt is the node of iteration at, or nil once at is the length;
+		// the worker may begin the iterations below end before its next
+		// poll.
+		pt, at, end := head, 0, 0
+		hop := func(k int) {
+			for ; k > 0 && pt != nil; k-- {
 				pt = pt.Next
+				at++
 				w.hops++
 			}
 		}
+		for hop(w.vpn); pt != nil; hop(p) {
+			w.rec.Issued++
+			if at >= end {
+				end = w.Span(w.rec, at, none, p)
+			}
+			if !w.may(at) || !w.exec(at, pt) {
+				return
+			}
+		}
+		w.Quit(at)
 	})
-	return r.result(r.quit.get(), none, runErr)
 }
 
 // General3 runs the loop with dynamic assignment and private cursors
@@ -406,7 +306,7 @@ func General3(head *list.Node, body Body, cfg Config) Result {
 // General3Ctx is General3 under a context (see General1Ctx for the
 // cancellation and panic contract).
 // Iterations are claimed in chunks of sched.Geometric sizes, so the
-// claim counter is written once per chunk; QUIT and stop are checked
+// claim cursor is written once per chunk; QUIT and stop are checked
 // per iteration, so overshoot stays bounded by the iterations in
 // flight, and an abandoned chunk's first unexecuted iteration is owed.
 func General3Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (Result, error) {
@@ -414,48 +314,33 @@ func General3Ctx(ctx context.Context, head *list.Node, body Body, cfg Config) (R
 	if bound <= 0 {
 		bound = none // unknown: the end of the list is found on the way
 	}
-	// The claim counter is the one word every chunk writes; a line of
-	// padding either side keeps it off the lines they all read.
-	var claim struct {
-		_    [64]byte
-		next atomic.Int64
-		_    [64]byte
-	}
-	r := newRun(ctx, "general-3", body, cfg, bound)
-	runErr := r.each(ctx, func(w *worker) {
+	return start(ctx, "general-3", body, cfg, bound, sched.Dynamic, func(w *worker) {
 		pt := head
 		prev := 0 // pt currently points at iteration index `prev`
-		chunk := sched.NewGeometric(bound, r.cfg.procs())
-		for !r.g.stop.Load() {
-			lo := int(claim.next.Add(chunk.Size) - chunk.Size)
-			if lo >= bound {
+		for {
+			lo, hi, ok := w.Next(w.rec)
+			if !ok {
 				return
 			}
-			hi := idxClamp(lo+int(chunk.Size), bound)
-			chunk.Grow()
-			for i := lo; i < hi; i++ {
-				w.owed = i
-				if r.g.stop.Load() {
-					return
-				}
-				w.issued++
-				if i > r.quit.get() {
-					return
-				}
-				for ; prev < i && pt != nil; prev++ {
-					pt = pt.Next
-					w.hops++
-				}
-				if pt == nil {
-					// Fell off the list: its length caps validity.
-					r.quit.record(prev)
-					return
-				}
-				if !w.exec(i, pt) {
-					return
+			for i := lo; i < hi; {
+				for end := w.Span(w.rec, i, hi, 1); i < end; i++ {
+					if !w.may(i) {
+						return
+					}
+					for ; prev < i && pt != nil; prev++ {
+						pt = pt.Next
+						w.hops++
+					}
+					if pt == nil {
+						// Fell off the list: its length caps validity.
+						w.Quit(prev)
+						return
+					}
+					if !w.exec(i, pt) {
+						return
+					}
 				}
 			}
 		}
 	})
-	return r.result(r.quit.get(), idxClamp(int(claim.next.Load()), bound), runErr)
 }

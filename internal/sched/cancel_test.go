@@ -8,9 +8,9 @@ package sched
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"whilepar/internal/cancel"
 	"whilepar/internal/obs"
@@ -36,25 +36,30 @@ func TestDOALLCtxPreCanceled(t *testing.T) {
 }
 
 func TestDOALLCtxStopsWithinChunks(t *testing.T) {
-	// Cancel after iteration 10 runs; with chunked claims some in-flight
-	// work may still complete, but the executed count must stay far
-	// below n and the Prefix must be an honestly committed prefix.
-	for _, s := range []Schedule{Dynamic, Static, Guided} {
-		n := 1 << 16
+	// Cancel after iteration 10 runs: every worker polls the context
+	// itself after every cancel.PollEvery iterations, so at most that
+	// many per worker run after the cancel, with no yield for the
+	// context's watcher, and the Prefix must be an honestly committed
+	// prefix.
+	for _, s := range []Schedule{Dynamic, Static, Guided, Stealing} {
+		const n, procs = 1 << 16, 4
 		ctx, stop := context.WithCancel(context.Background())
 		var executed atomic.Int64
+		var canceled atomic.Bool
 		ran := make([]atomic.Bool, n)
-		res, err := DOALLCtx(ctx, n, Options{Procs: 4, Schedule: s}, func(i, vpn int) Control {
+		res, err := DOALLCtx(ctx, n, Options{Procs: procs, Schedule: s}, func(i, vpn int) Control {
+			// Iterations above 10 wait for the cancel: otherwise the
+			// workers that do not hold iteration 10 (Static's other
+			// residue classes, later chunks) legitimately run ahead for
+			// as long as its worker waits for a processor.
+			for i > 10 && !canceled.Load() {
+				runtime.Gosched()
+			}
 			executed.Add(1)
 			ran[i].Store(true)
 			if i == 10 {
 				stop()
-			}
-			if ctx.Err() != nil {
-				// Cancellation is cooperative (a flag flipped by
-				// context.AfterFunc); yield so the flag-setter runs
-				// instead of racing 64k trivial iterations against it.
-				time.Sleep(time.Microsecond)
+				canceled.Store(true)
 			}
 			return Continue
 		})
@@ -64,8 +69,8 @@ func TestDOALLCtxStopsWithinChunks(t *testing.T) {
 		if got := int(executed.Load()); res.Executed != got {
 			t.Fatalf("schedule %v: Executed = %d, body ran %d times", s, res.Executed, got)
 		}
-		if res.Executed == n {
-			t.Fatalf("schedule %v: cancellation did not stop issue (executed all %d)", s, n)
+		if bound := 11 + cancel.PollEvery*procs; res.Executed > bound {
+			t.Fatalf("schedule %v: cancellation did not stop issue (executed %d, bound %d)", s, res.Executed, bound)
 		}
 		for i := 0; i < res.Prefix; i++ {
 			if !ran[i].Load() {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 
 	"whilepar/internal/cancel"
@@ -129,58 +128,6 @@ type Result struct {
 	Prefix int
 }
 
-// blockCursor is one Stealing block's claim cursor, padded to a cache
-// line so the p cursors — each written by its home worker on the common
-// balanced path — never false-share.
-type blockCursor struct {
-	c atomic.Int64
-	_ [56]byte
-}
-
-// tally is one worker's private accounting, written once per chunk and
-// padded so that no two workers' tallies share a cache line.  The
-// iteration path itself writes nothing shared: what ran is recovered
-// after the join from the tallies and the claim cursors (see account);
-// the counts reach the Metrics once per worker, when it ends.
-type tally struct {
-	// issued and executed count the iterations claimed and the ones
-	// whose body completed.
-	issued, executed int
-	// hole is the unexecuted tail — indices lo, lo+stride, ... below
-	// hi — of the chunk this worker abandoned last.
-	hole struct{ lo, hi, stride int }
-	_    [24]byte
-}
-
-// doall is the shared state of one DOALL execution.
-type doall struct {
-	// quitAt (the smallest index that returned Quit) and stopped (the
-	// cancellation/panic flag) are read before every iteration and
-	// written a handful of times per execution.
-	quitAt  atomic.Int64
-	stopped atomic.Bool
-	panicAt atomic.Pointer[cancel.PanicError]
-
-	// next is the Dynamic and Guided issue counter.  Every claim writes
-	// it, so a full line of padding on either side keeps it off the
-	// lines every iteration reads, whatever the struct's alignment.
-	_    [64]byte
-	next atomic.Int64
-	_    [64]byte
-
-	n, p     int
-	schedule Schedule
-	body     func(i, vpn int) Control
-	m        *obs.Metrics
-	tr       obs.Tracer
-
-	// Stealing: one claim cursor per home block of blockSpan indices.
-	blocks    []blockCursor
-	blockSpan int
-
-	tallies []tally
-}
-
 // DOALL executes iterations [0, n) of body on opts.procs() goroutines
 // with QUIT semantics.  body receives the iteration index and the
 // virtual processor number and must be safe for concurrent invocation on
@@ -203,11 +150,15 @@ func DOALL(n int, opts Options, body func(i, vpn int) Control) Result {
 	return res
 }
 
-// DOALLCtx is DOALL under a context.  Cancellation is cooperative and
-// observed at chunk claims and iteration boundaries: once ctx is done,
-// workers stop claiming work and return within one chunk, and the call
-// returns the Result accumulated so far (Result.Prefix is the committed
-// contiguous prefix) together with ErrCanceled or ErrDeadline.
+// DOALLCtx is DOALL under a context.  Cancellation is cooperative: the
+// workers load the execution's stop flag (Claim) before every
+// iteration.  The context's watcher sets it as soon as a processor is
+// free to run it, and each worker sets it from its own poll of ctx —
+// before its first iteration and after every cancel.PollEvery
+// iterations it runs — so once ctx is done no worker begins more than
+// PollEvery further iterations.  The call returns the Result
+// accumulated so far (Result.Prefix is the committed contiguous prefix)
+// together with ErrCanceled or ErrDeadline.
 //
 // A panicking body is contained by the worker that ran it: the first
 // panic is converted into a *cancel.PanicError carrying the iteration
@@ -225,324 +176,125 @@ func DOALLCtx(ctx context.Context, n int, opts Options, body func(i, vpn int) Co
 	if n <= 0 {
 		return Result{QuitIndex: 0}, nil
 	}
-	m := opts.Metrics
-	if err := cancel.Err(ctx); err != nil {
-		m.CtxCancel()
+	c, err := NewClaim(ctx, n, p, opts.Schedule, opts.Metrics)
+	if err != nil {
 		return Result{QuitIndex: n}, err
 	}
+	defer c.Close()
+	d := doall{c, body, opts.Tracer}
+	c.Run(opts.Pool, func(vpn int) { d.work(vpn) })
+	res := c.Account()
+	opts.Metrics.OvershotAdd(res.Overshot)
+	return res, c.Err()
+}
 
-	d := &doall{n: n, p: p, schedule: opts.Schedule, body: body, m: m, tr: opts.Tracer,
-		tallies: make([]tally, p)}
-	d.quitAt.Store(int64(n))
-	m.SizeVPNs(p)
-	if d.schedule == Stealing {
-		d.blocks = make([]blockCursor, p)
-		d.blockSpan = (n + p - 1) / p
-		for k := range d.blocks {
-			d.blocks[k].c.Store(int64(k * d.blockSpan))
-		}
-	}
-
-	// One atomic flag, flipped by context.AfterFunc, makes the per-chunk
-	// cancellation check a plain load instead of a channel poll.
-	if ctx != nil && ctx.Done() != nil {
-		stopWatch := context.AfterFunc(ctx, func() { d.stopped.Store(true) })
-		defer stopWatch()
-	}
-
-	if opts.Pool != nil {
-		// One barrier release instead of p spawns.  Pool workers with
-		// vpn >= p (the clamp above makes this impossible, but a
-		// smaller Procs is allowed) just arrive at the barrier.
-		m.PoolDispatch(p)
-		if err := opts.Pool.Run(func(vpn int) {
-			if vpn < p {
-				d.worker(vpn)
-			}
-		}); err != nil {
-			// Backstop for panics escaping the per-chunk recover (i.e.
-			// in the scheduling code itself, not a body).
-			if pe, ok := cancel.AsPanic(err); ok && d.panicAt.CompareAndSwap(nil, pe) {
-				m.WorkerPanic()
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(p)
-		for k := 0; k < p; k++ {
-			go func(vpn int) {
-				defer wg.Done()
-				d.worker(vpn)
-			}(k)
-		}
-		wg.Wait()
-	}
-
-	res := d.account()
-	m.OvershotAdd(res.Overshot)
-	if pe := d.panicAt.Load(); pe != nil {
-		return res, pe
-	}
-	if err := cancel.Err(ctx); err != nil {
-		m.CtxCancel()
-		return res, err
-	}
-	return res, nil
+// doall is one DOALL execution: its claim and what each iteration runs.
+type doall struct {
+	c    *Claim
+	body func(i, vpn int) Control
+	tr   obs.Tracer
 }
 
 // runChunk executes iterations lo, lo+stride, ... below hi in order on
-// worker vpn and adds them to its tally.  It stops early — recording the
-// unexecuted tail as the worker's hole and returning false — once the
-// execution is stopped, a QUIT below the next index has been posted, or
-// the body panics (the panic is contained here, once per chunk, and the
-// panicking iteration counts as not executed).
-func (d *doall) runChunk(lo, hi, stride, vpn int) (whole bool) {
-	t := &d.tallies[vpn]
+// worker vpn and adds them to its record.  It stops early — recording
+// the unexecuted tail as the worker's hole and returning false — once
+// the execution is stopped, a QUIT below the next index has been
+// posted, or the body panics (the panic is contained here, once per
+// chunk, and the panicking iteration counts as not executed).
+func (d doall) runChunk(w *Worker, lo, hi, stride, vpn int) (whole bool) {
+	c := d.c
 	i, done := lo, 0
 	defer func() {
 		if r := recover(); r != nil {
-			pe := &cancel.PanicError{Iter: i, VPN: vpn, Value: r, Stack: debug.Stack()}
-			if d.panicAt.CompareAndSwap(nil, pe) {
-				d.m.WorkerPanic()
-			}
-			d.stopped.Store(true)
+			c.Panic(i, vpn, r)
 		}
-		t.executed += done
+		w.Executed += done
 		if !whole {
-			t.hole.lo, t.hole.hi, t.hole.stride = lo+done*stride, hi, stride
+			w.Owe(lo+done*stride, hi, stride)
 		}
 	}()
-	for ; i < hi; i += stride {
-		if d.stopped.Load() || int64(i) > d.quitAt.Load() {
-			return false
-		}
-		ts := obs.Start(d.tr)
-		c := d.body(i, vpn)
-		done++
-		if d.tr != nil {
-			obs.Span(d.tr, ts, "iter", "doall", vpn, map[string]any{"i": i})
-		}
-		if c == Quit {
-			// CAS-min on quitAt.
-			for {
-				cur := d.quitAt.Load()
-				if int64(i) >= cur || d.quitAt.CompareAndSwap(cur, int64(i)) {
-					break
-				}
+	for i < hi {
+		for end := c.Span(w, i, hi, stride); i < end; i += stride {
+			if !c.Go(i) {
+				return false
 			}
-			d.m.QuitPosted()
+			ts := obs.Start(d.tr)
+			ctl := d.body(i, vpn)
+			done++
 			if d.tr != nil {
-				obs.Instant(d.tr, "QUIT", "doall", vpn, map[string]any{"i": i})
+				obs.Span(d.tr, ts, "iter", "doall", vpn, map[string]any{"i": i})
+			}
+			if ctl == Quit {
+				c.Quit(i)
+				c.m.QuitPosted()
+				if d.tr != nil {
+					obs.Instant(d.tr, "QUIT", "doall", vpn, map[string]any{"i": i})
+				}
 			}
 		}
 	}
 	return true
 }
 
-// Geometric is the one chunk-size policy of the self-scheduled claim
-// loops (Dynamic and Stealing here, General-3 in genrec): a worker's
-// claim Size doubles from 1 up to min(64, n/(8p)), which keeps ~8
-// chunks per worker available for balance; an unknown n gets 64.
-type Geometric struct{ Size, max int64 }
-
-// NewGeometric starts the sequence for n iterations on p workers.
-func NewGeometric(n, p int) Geometric {
-	max := int64(n / (8 * p))
-	if max > 64 {
-		max = 64
-	}
-	if max < 1 {
-		max = 1
-	}
-	return Geometric{Size: 1, max: max}
-}
-
-// Grow doubles Size, up to the cap.
-func (g *Geometric) Grow() {
-	if g.Size < g.max {
-		g.Size *= 2
-		if g.Size > g.max {
-			g.Size = g.max
-		}
-	}
-}
-
-// worker is one virtual processor's activation: claim chunks under the
+// work is one virtual processor's activation: claim chunks under the
 // execution's schedule and run them until the space is exhausted, a
 // QUIT at an index below the next chunk has been posted, or the
 // execution is stopped — claiming further chunks could only produce
 // dead work.
-func (d *doall) worker(vpn int) {
-	n, p, m := int64(d.n), d.p, d.m
-	t := &d.tallies[vpn]
-	defer func() {
-		m.IterIssued(t.issued)
-		m.IterExecutedN(vpn, t.executed)
-	}()
-	switch d.schedule {
+func (d doall) work(vpn int) {
+	c, m := d.c, d.c.m
+	w := c.Worker(vpn)
+	switch c.schedule {
 	case Stealing:
 		// Claims hit the home block's private cursor first; only after
 		// the home block is drained (or killed by a QUIT below it) does
 		// the worker scan the other blocks, round-robin from its own.
-		chunk := NewGeometric(d.n, p)
-		for k := 0; k < p; k++ {
-			b := (vpn + k) % p
-			end := int64((b + 1) * d.blockSpan)
-			if end > n {
-				end = n
-			}
-			cur := &d.blocks[b].c
+		// Cursors are monotone and the quit index only decreases, so a
+		// finished block never revives — one pass over all p blocks
+		// covers the whole space.
+		for k := 0; k < c.p; k++ {
 			for {
-				c := cur.Load()
-				if d.stopped.Load() {
-					return
-				}
-				if c >= end || c > d.quitAt.Load() {
-					// Block exhausted, or its smallest unclaimed index
-					// is beyond a posted QUIT: every index still
-					// unclaimed here is dead work.  Cursors are
-					// monotone and quitAt only decreases, so a finished
-					// block never revives — one pass over all p blocks
-					// covers the whole space.
+				lo, hi, ok := c.NextIn(w, (vpn+k)%c.p)
+				if !ok {
 					break
 				}
-				size := chunk.Size
-				if rem := end - c; size > rem {
-					size = rem
-				}
-				if !cur.CompareAndSwap(c, c+size) {
-					continue
-				}
-				t.issued += int(size)
 				if k == 0 {
-					m.DynamicChunk(int(size))
+					m.DynamicChunk(hi - lo)
 				} else {
-					m.StealChunk(int(size))
+					m.StealChunk(hi - lo)
 				}
-				chunk.Grow()
-				d.runChunk(int(c), int(c+size), 1, vpn)
+				d.runChunk(w, lo, hi, 1, vpn)
 			}
 		}
 	case Static:
 		// Processor k runs the iterations congruent to k modulo p, in
 		// order, as one strided chunk: once a smaller iteration has
 		// quit, the larger ones are not begun.
-		if vpn < d.n {
-			whole := d.runChunk(vpn, d.n, p, vpn)
-			t.issued = t.executed
-			if !whole && !d.stopped.Load() {
-				t.issued++ // the iteration that found the QUIT below it
+		if vpn < c.n {
+			whole := d.runChunk(w, vpn, c.n, c.p, vpn)
+			w.Issued = w.Executed
+			if !whole && !c.stop.Stopped() {
+				w.Issued++ // the iteration that found the QUIT below it
 			}
 		}
-	case Guided:
+	default: // Dynamic and Guided
+		// Correctness: the claim cursor is monotone, chunks are
+		// processed in order with a per-iteration QUIT check, and no
+		// chunk is claimed once the cursor passes the posted quit index.
 		for {
-			// Claim a chunk of ceil(remaining/(2p)) iterations.
-			cur := d.next.Load()
-			if d.stopped.Load() || cur >= n || cur > d.quitAt.Load() {
+			lo, hi, ok := c.Next(w)
+			if !ok {
 				return
 			}
-			size := (n - cur + int64(2*p) - 1) / int64(2*p)
-			if size < 1 {
-				size = 1
+			if c.schedule == Guided {
+				m.GuidedChunk(hi - lo)
+			} else {
+				m.DynamicChunk(hi - lo)
 			}
-			if !d.next.CompareAndSwap(cur, cur+size) {
-				continue
-			}
-			t.issued += int(size)
-			m.GuidedChunk(int(size))
-			if !d.runChunk(int(cur), int(cur+size), 1, vpn) {
+			if !d.runChunk(w, lo, hi, 1, vpn) {
 				return
 			}
 		}
-	default: // Dynamic
-		// Correctness is the Guided argument: the claim counter is
-		// monotone, chunks are processed in order with a per-iteration
-		// QUIT check, and no chunk is claimed once the counter passes
-		// the posted quit index.
-		chunk := NewGeometric(d.n, p)
-		for {
-			cur := d.next.Load()
-			if d.stopped.Load() || cur >= n || cur > d.quitAt.Load() {
-				return
-			}
-			size := chunk.Size
-			if rem := n - cur; size > rem {
-				size = rem
-			}
-			if !d.next.CompareAndSwap(cur, cur+size) {
-				continue
-			}
-			t.issued += int(size)
-			m.DynamicChunk(int(size))
-			chunk.Grow()
-			if !d.runChunk(int(cur), int(cur+size), 1, vpn) {
-				return
-			}
-		}
-	}
-}
-
-// account computes the Result after the join, exactly, from O(p) state.
-// Every index is in one of three places: executed; in the tail of a
-// chunk its worker abandoned; or never claimed (at or beyond a claim
-// cursor).  A worker abandons a chunk either because of a QUIT below the
-// tail — the tail then lies wholly above the final quit index, since
-// quitAt only decreases — or because the execution was stopped, after
-// which it claims nothing more; so each worker's last abandoned tail is
-// the only one that can hold indices below the final quit index.  The
-// holes below it are therefore the last tails plus the unclaimed ranges,
-// both clipped to the quit index: what is below it and not a hole ran
-// exactly once, and the rest of what ran is overshoot.
-func (d *doall) account() Result {
-	q := int(d.quitAt.Load())
-	executed, firstHole, holesBelow := 0, d.n, 0
-	hole := func(lo, hi, stride int) {
-		if lo >= hi {
-			return
-		}
-		if lo < firstHole {
-			firstHole = lo
-		}
-		if hi > q {
-			hi = q
-		}
-		if lo < hi {
-			holesBelow += (hi - lo + stride - 1) / stride
-		}
-	}
-	for k := range d.tallies {
-		t := &d.tallies[k]
-		executed += t.executed
-		hole(t.hole.lo, t.hole.hi, t.hole.stride)
-	}
-	switch d.schedule {
-	case Stealing:
-		for b := range d.blocks {
-			end := (b + 1) * d.blockSpan
-			if end > d.n {
-				end = d.n
-			}
-			hole(int(d.blocks[b].c.Load()), end, 1)
-		}
-	case Static:
-		// No claim cursor: each worker's whole assignment is one chunk,
-		// so its tail is already in its tally.
-	default:
-		hole(int(d.next.Load()), d.n, 1)
-	}
-	below := q
-	if below > d.n {
-		below = d.n
-	}
-	prefix := below
-	if firstHole < prefix {
-		prefix = firstHole
-	}
-	return Result{
-		Executed:  executed,
-		QuitIndex: q,
-		Overshot:  executed - (below - holesBelow),
-		Prefix:    prefix,
 	}
 }
 
@@ -611,30 +363,13 @@ func ForEachProc(ctx context.Context, procs int, cfg ProcConfig, fn func(vpn int
 		}
 	}
 
-	if pool := cfg.Pool; pool != nil {
-		if procs > pool.Size() {
-			procs = pool.Size()
+	if cfg.Pool != nil && procs > cfg.Pool.Size() {
+		procs = cfg.Pool.Size()
+	}
+	if err := dispatch(cfg.Pool, procs, h.M, run); err != nil {
+		if pe, ok := cancel.AsPanic(err); ok && panicAt.CompareAndSwap(nil, pe) {
+			h.M.WorkerPanic()
 		}
-		h.M.PoolDispatch(procs)
-		if err := pool.Run(func(vpn int) {
-			if vpn < procs {
-				run(vpn)
-			}
-		}); err != nil {
-			if pe, ok := cancel.AsPanic(err); ok && panicAt.CompareAndSwap(nil, pe) {
-				h.M.WorkerPanic()
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(procs)
-		for k := 0; k < procs; k++ {
-			go func(vpn int) {
-				defer wg.Done()
-				run(vpn)
-			}(k)
-		}
-		wg.Wait()
 	}
 
 	if pe := panicAt.Load(); pe != nil {

@@ -14,6 +14,7 @@ import (
 
 	"whilepar/internal/cancel"
 	"whilepar/internal/core"
+	"whilepar/internal/loopir"
 )
 
 func postJob(t *testing.T, srv *httptest.Server, spec JobSpec) (*http.Response, map[string]string) {
@@ -90,6 +91,42 @@ func TestHTTPSubmitAndStatus(t *testing.T) {
 		Program: "while (i < n) {\n b[i] = x\n x = a[i]\n i = i + 1\n}"})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out["error"], `"x"`) {
 		t.Fatalf("read-before-assign program: %d %v", resp.StatusCode, out)
+	}
+
+	// A job whose loop would run for seconds, under a 50 ms deadline:
+	// the engine's workers see the deadline themselves, so the job fails
+	// with kind "deadline" within 10 ms of it.
+	RegisterNative("http-long", func(ctx context.Context, opt core.Options, args map[string]float64) (core.Report, error) {
+		return core.RunInductionCtx(ctx, &loopir.Loop[int]{
+			Class: loopir.Class{Dispatcher: loopir.MonotonicInduction, Terminator: loopir.RI},
+			Disp:  loopir.IntInduction{C: 1},
+			Body: func(it *loopir.Iter, d int) bool {
+				x := d
+				for j := 0; j < 1000; j++ { // about a microsecond
+					x = x*31 + j
+				}
+				return x != 0 || d >= 0
+			},
+			Max: 1 << 22,
+		}, opt)
+	})
+	const deadlineMs = 50
+	_, out = postJob(t, srv, JobSpec{Kind: "native", Native: "http-long", DeadlineMs: deadlineMs})
+	waitDone(t, s, out["id"])
+	r, err = http.Get(srv.URL + "/v1/jobs/" + out["id"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(r.Body).Decode(&st)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "failed" || st.ErrorKind != "deadline" {
+		t.Fatalf("deadline job: %+v", st)
+	}
+	if limit := st.Submitted.Add((deadlineMs + 10) * time.Millisecond); st.Finished.After(limit) {
+		t.Fatalf("deadline job finished %v after submission, deadline %d ms", st.Finished.Sub(st.Submitted), deadlineMs)
 	}
 }
 
